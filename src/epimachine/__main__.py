@@ -1,0 +1,8 @@
+"""``python -m epimachine``: the command line interface."""
+
+import sys
+
+from .runner import main
+
+if __name__ == "__main__":
+    sys.exit(main())

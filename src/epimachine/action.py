@@ -22,7 +22,6 @@ from .logic import (
     PointedKripkeModel,
     format_formula,
     parse_formula,
-    sorted_worlds,
     world_label,
 )
 
@@ -112,8 +111,8 @@ def applicable_designated(
 ) -> list[str]:
     """Designated actions whose precondition holds at the point, in action-id
     order. Length 1 means the update is defined and deterministic here."""
-    ev = Evaluator(model)
-    return [a for a in sorted(program.designated) if ev.check(model.point, program.pre[a])]
+    ev = Evaluator.of(model)
+    return [a for a in sorted(program.designated) if model.point in ev.sat_set(program.pre[a])]
 
 
 def product_update(
@@ -127,21 +126,14 @@ def product_update(
     """
     if model.agents != program.agents:
         raise ValueError("model and program use different agent universes")
-    ev = Evaluator(model)
-
-    chosen = [a for a in sorted(program.designated) if ev.check(model.point, program.pre[a])]
+    chosen = applicable_designated(model, program)
     if not chosen:
         return None
     if len(chosen) > 1:
         raise DeterminismViolation(model.point, chosen)
 
-    parents = sorted_worlds(model.worlds)
-    new_worlds = []
-    for action in program.actions:
-        pre = program.pre[action]
-        for parent in parents:
-            if ev.check(parent, pre):
-                new_worlds.append((parent, action))
+    ev = Evaluator.of(model)
+    new_worlds = [(w, a) for a in program.actions for w in ev.sat_set(program.pre[a])]
 
     relations = {}
     for agent in model.agents:

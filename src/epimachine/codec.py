@@ -158,18 +158,17 @@ class TapeReading:
 
 def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
     component = component_of_point(model)
-    ev = Evaluator(model)
-    is_cell = cell_formula()
-    if not ev.check(model.point, is_cell):
+    ev = Evaluator.of(model)
+    cells = component & ev.sat_set(cell_formula())
+    if model.point not in cells:
         return Malformed("point is not a cell")
-    cells = {w for w in component if ev.check(w, is_cell)}
 
-    left_ends = [w for w in cells if ev.check(w, leftmost_formula())]
+    left_ends = list(cells & ev.sat_set(leftmost_formula()))
     if len(left_ends) != 1:
         return Malformed(
             "no leftmost cell" if not left_ends else "multiple leftmost cells"
         )
-    right_ends = [w for w in cells if ev.check(w, rightmost_formula())]
+    right_ends = list(cells & ev.sat_set(rightmost_formula()))
     if len(right_ends) != 1:
         return Malformed(
             "no rightmost cell" if not right_ends else "multiple rightmost cells"
@@ -200,17 +199,13 @@ def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
     anchor = chain.index(model.point)
     positions = {w: i - anchor for i, w in enumerate(chain)}
 
-    heads = []
-    for q in states:
-        marker = head_formula(q)
-        heads += [(positions[w], q) for w in chain if ev.check(w, marker)]
+    heads = [(positions[w], q) for q in states for w in cells & ev.sat_set(head_formula(q))]
     if not heads:
         return HALTED
     if len(heads) > 1:
         return Malformed("multiple heads")
 
-    one = digit_formula(1)
-    ones = tuple(sorted(positions[w] for w in chain if ev.check(w, one)))
+    ones = tuple(sorted(positions[w] for w in cells & ev.sat_set(digit_formula(1))))
     return TapeReading(component, tuple(chain), positions, heads[0][0], heads[0][1], ones)
 
 

@@ -1,5 +1,5 @@
 """Modal language over a single atom, finite S5 Kripke models, and a
-memoizing model checker.
+set-at-a-time model checker.
 
 The language has one propositional atom ``p`` and one box operator per
 relation index. Disjunction and the diamond are derived operators, not AST
@@ -454,56 +454,62 @@ def make_model(
 
 
 class Evaluator:
-    """Model checker for one model, memoizing per (formula, world).
+    """Set-at-a-time model checker for one model: each satisfaction set is
+    built from the sets of the formula's parts and memoized on formula
+    identity (the memo holds the formula, so its id stays unique)."""
 
-    Sharing formula objects across calls (the builders in ``program`` cache
-    them) makes repeated satisfaction checks over a whole model cheap.
-    """
-
-    __slots__ = ("model", "_memo", "_hold")
+    __slots__ = ("model", "_sets")
+    _last: "Evaluator | None" = None
 
     def __init__(self, model: PointedKripkeModel):
         self.model = model
-        self._memo: dict = {}
-        self._hold: dict = {}
+        self._sets: dict = {}
+
+    @classmethod
+    def of(cls, model: PointedKripkeModel) -> "Evaluator":
+        """The checker of ``model``, shared while no other model is checked:
+        update, decode, applicability and stats check one model in turn."""
+        ev = Evaluator._last
+        if ev is None or ev.model is not model:
+            ev = Evaluator._last = cls(model)
+        return ev
 
     def check(self, world: World, formula: Formula) -> bool:
-        key = (id(formula), world)
-        memo = self._memo
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        self._hold[id(formula)] = formula
-        if isinstance(formula, Top):
-            value = True
-        elif isinstance(formula, Atom):
-            value = world in self.model.valuation
-        elif isinstance(formula, Not):
-            value = not self.check(world, formula.sub)
-        elif isinstance(formula, And):
-            value = self.check(world, formula.left) and self.check(world, formula.right)
-        elif isinstance(formula, Box):
-            cls = self.model.successors(formula.agent, world)
-            value = all(self.check(other, formula.sub) for other in cls)
-        else:
-            raise TypeError(f"not a formula: {formula!r}")
-        memo[key] = value
-        return value
+        return world in self.sat_set(formula)
 
     def sat_set(self, formula: Formula) -> frozenset:
-        return frozenset(w for w in self.model.worlds if self.check(w, formula))
+        hit = self._sets.get(id(formula))
+        if hit is not None:
+            return hit[1]
+        model = self.model
+        if isinstance(formula, Top):
+            value = model.worlds
+        elif isinstance(formula, Atom):
+            value = model.valuation
+        elif isinstance(formula, Not):
+            value = model.worlds - self.sat_set(formula.sub)
+        elif isinstance(formula, And):
+            value = self.sat_set(formula.left) & self.sat_set(formula.right)
+        elif isinstance(formula, Box):
+            inner = self.sat_set(formula.sub)
+            classes = model.relation(formula.agent).classes()
+            value = frozenset(w for cls in classes if cls <= inner for w in cls)
+        else:
+            raise TypeError(f"not a formula: {formula!r}")
+        self._sets[id(formula)] = (formula, value)
+        return value
 
 
 def eval_formula(model: PointedKripkeModel, world: World, formula: Formula) -> bool:
     """Truth of ``formula`` at ``world``; ValueError on unknown world/agent."""
     if world not in model.worlds:
         raise ValueError(f"unknown world {world_label(world)}")
-    return Evaluator(model).check(world, formula)
+    return Evaluator.of(model).check(world, formula)
 
 
 def sat_set(model: PointedKripkeModel, formula: Formula) -> frozenset:
     """All worlds of ``model`` satisfying ``formula``."""
-    return Evaluator(model).sat_set(formula)
+    return Evaluator.of(model).sat_set(formula)
 
 
 def s5_defect(model: PointedKripkeModel) -> str | None:

@@ -17,8 +17,8 @@ The compiled program has five action families:
 * ``mount:q:i`` one per transition; its descendant is the new head world,
   attached at the destination cell through the relation of the target state.
 
-The builders are cached so equal formulas are shared objects; the model
-checker memoizes on object identity.
+The builders are cached so equal formulas are shared objects; satisfaction
+sets are memoized on formula identity.
 """
 
 from __future__ import annotations

@@ -42,9 +42,7 @@ class ModelStats:
 
 def model_stats(model: PointedKripkeModel) -> ModelStats:
     component = component_of_point(model)
-    ev = Evaluator(model)
-    is_cell = cell_formula()
-    cells = sum(1 for w in component if ev.check(w, is_cell))
+    cells = len(component & Evaluator.of(model).sat_set(cell_formula()))
     return ModelStats(len(model.worlds), len(component), cells, len(model.worlds) - len(component))
 
 

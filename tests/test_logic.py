@@ -32,7 +32,7 @@ from epimachine.logic import (
     state_agent,
 )
 
-from helpers import brute_eval, model_pairs, naive_closure_pairs
+from helpers import brute_eval, brute_sat_set, model_pairs, naive_closure_pairs
 
 AGENTS = (TAPE_A, TAPE_B, SYMBOL, state_agent("q0"))
 
@@ -140,6 +140,23 @@ def test_eval_matches_bruteforce_on_random_models():
         for world in model.worlds:
             expected = brute_eval(model.worlds, pairs, model.valuation, world, formula)
             assert eval_formula(model, world, formula) == expected
+
+
+def test_shared_checker_keeps_models_apart():
+    # both models name their worlds w0, w1, ..., so sets served for the wrong
+    # model would show as wrong answers
+    rng = random.Random(19)
+    for _ in range(60):
+        m1, m2 = _random_model(rng), _random_model(rng)
+        for formula in [_random_formula(rng) for _ in range(3)]:
+            expected1, expected2 = brute_sat_set(m1, formula), brute_sat_set(m2, formula)
+            assert sat_set(m1, formula) == expected1
+            assert sat_set(m2, formula) == expected2
+            assert sat_set(m1, formula) == expected1
+            for world in m1.worlds:
+                assert eval_formula(m1, world, formula) == (world in expected1)
+                assert eval_formula(m2, m2.point, formula) == (m2.point in expected2)
+            assert sat_set(m2, formula) == expected2
 
 
 def test_t_axiom_and_diamond_on_equivalence_models():

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import epimachine
 from epimachine.codec import component_of_point, encode
-from epimachine.logic import TAPE_A, make_model
+from epimachine.logic import TAPE_A, Evaluator, make_model
 from epimachine.machine import HALTED, FiniteConfiguration, parse_machine, step
 from epimachine.runner import (
     emulate,
@@ -224,3 +229,39 @@ def test_cli_reports_file_errors(tmp_path, capsys):
     flip_path = str(MACHINE_DIR / "flip.tm")
     assert main(["verify", flip_path, "--padding", "4"]) == 2
     assert main(["verify", flip_path, "--padding", "7", "--steps", "5"]) == 0
+
+
+def test_emulate_checks_each_model_once(monkeypatch):
+    built = []
+    original = Evaluator.__init__
+
+    def counting_init(self, model):
+        built.append(model)
+        original(self, model)
+
+    monkeypatch.setattr(Evaluator, "__init__", counting_init)
+    spec, initial = load("march")
+    emulate(spec, initial, 10)
+    # the start model plus one per update
+    assert len(built) == 11
+    built.clear()
+    spec, initial = load("bb2")
+    trace = emulate(spec, initial, 50, reencode=True)
+    assert len(trace.entries) == 8
+    # the start model, then the decoded and the re-encoded model of each of
+    # the 7 updates, except that the final, halted one is not re-encoded
+    assert len(built) == 14
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(epimachine.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "epimachine", "verify", str(MACHINE_DIR / "bb2.tm")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "verdict: emulation matches the direct simulation" in result.stdout
+    assert "RuntimeWarning" not in result.stderr

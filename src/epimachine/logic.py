@@ -474,6 +474,11 @@ class Evaluator:
             ev = Evaluator._last = cls(model)
         return ev
 
+    @classmethod
+    def release(cls) -> None:
+        """Empty the slot, so the last checked model's sets can be freed."""
+        Evaluator._last = None
+
     def check(self, world: World, formula: Formula) -> bool:
         return world in self.sat_set(formula)
 

@@ -5,6 +5,12 @@ One emulation step is one product update of the current model with the
 compiled program. Each step is decoded and compared against the direct
 simulator; the trace records both sides together with model statistics so
 divergences are data, not surprises.
+
+Product worlds are ``(parent, action)`` pairs. From step 2 on the loop renames
+each one ``(k, action)``, with k the index of the parent among the previous
+step's sorted worlds (its position among that step's DOT nodes), so ids stay
+one pair deep however long the run. Step-1 and re-encoded parents are encoder
+names and stay as they are.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from pathlib import Path
 
 from .action import DeterminismViolation, applicable_designated, product_update
 from .codec import DEFAULT_PADDING, Malformed, component_of_point, decode, encode
-from .logic import Evaluator, PointedKripkeModel, sorted_worlds, world_label
+from .logic import EquivRelation, Evaluator, PointedKripkeModel, sorted_worlds, world_label
 from .machine import (
     HALTED,
     FiniteConfiguration,
@@ -29,7 +35,7 @@ from .machine import (
     run_oracle,
     step,
 )
-from .program import GROWTH_MODES, cell_formula, compile_program, export_compiled
+from .program import GROWTH_MODES, CompiledProgram, cell_formula, compile_program, export_compiled
 
 
 @dataclass(frozen=True)
@@ -96,6 +102,24 @@ def _entries_match(decoded, oracle) -> bool:
     return False
 
 
+def flatten_ids(updated: PointedKripkeModel, previous: PointedKripkeModel) -> PointedKripkeModel:
+    """``updated``, the product update of ``previous``, with each world
+    ``(parent, action)`` whose parent is a pair renamed ``(k, action)``, k the
+    parent's index in ``sorted_worlds(previous.worlds)``. Left as it is when
+    ``previous`` is an encoded model, whose worlds are names, not pairs."""
+    if not isinstance(previous.point, tuple):
+        return updated
+    index = {w: k for k, w in enumerate(sorted_worlds(previous.worlds))}
+    rename = {w: (index[w[0]], w[1]) for w in updated.worlds}
+    worlds = frozenset(rename.values())
+    relations = {
+        agent: EquivRelation(worlds, ([rename[w] for w in cls] for cls in rel.classes()))
+        for agent, rel in updated.relations.items()
+    }
+    valuation = frozenset(rename[w] for w in updated.valuation)
+    return PointedKripkeModel(worlds, relations, valuation, rename[updated.point])
+
+
 def emulate(
     spec: MachineSpec,
     initial: FiniteConfiguration,
@@ -103,6 +127,7 @@ def emulate(
     mode: str = "repaired",
     reencode: bool = False,
     padding: int = DEFAULT_PADDING,
+    compiled: CompiledProgram | None = None,
 ) -> StepTrace:
     """Run the update loop for up to ``max_steps`` steps.
 
@@ -110,10 +135,13 @@ def emulate(
     determinism violation, or the step cap; the trace says which. With
     ``reencode`` each decoded configuration is normalized and re-encoded
     before the next update, which discards detached worlds and re-pads.
+    ``compiled`` is the program of ``spec`` in ``mode`` when the caller has
+    already compiled it.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    compiled = compile_program(spec, mode)
+    if compiled is None:
+        compiled = compile_program(spec, mode)
     program = compiled.program
     states = tuple(spec.states)
 
@@ -145,7 +173,7 @@ def emulate(
             stop_reason = "undefined-update"
             error = "no designated action applicable at the point"
             break
-        model = updated
+        model = flatten_ids(updated, model)
         decoded = decode(model, states)
 
         if oracle_state is not HALTED:
@@ -173,6 +201,7 @@ def emulate(
             stop_reason = "halted"
             break
 
+    Evaluator.release()
     return StepTrace(spec.name, mode, reencode, padding, entries, stop_reason, error)
 
 
@@ -306,7 +335,8 @@ def _describe(value) -> str:
 
 def _cmd_emulate(args) -> int:
     spec, initial = load_machine(args.machine)
-    trace = emulate(spec, initial, args.steps, args.mode, args.reencode, args.padding)
+    compiled = compile_program(spec, args.mode)
+    trace = emulate(spec, initial, args.steps, args.mode, args.reencode, args.padding, compiled)
     for entry in trace.entries:
         flag = "ok" if entry.match else "MISMATCH"
         print(
@@ -327,7 +357,6 @@ def _cmd_emulate(args) -> int:
             )
         print(f"dot files written to {directory}")
     if args.emit_program:
-        compiled = compile_program(spec, args.mode)
         Path(args.emit_program).write_text(export_compiled(compiled), encoding="utf-8")
         print(f"program written to {args.emit_program}")
     return 0

@@ -7,9 +7,12 @@ from pathlib import Path
 import pytest
 
 import epimachine
-from epimachine.codec import component_of_point, encode
-from epimachine.logic import TAPE_A, Evaluator, make_model
-from epimachine.machine import HALTED, FiniteConfiguration, parse_machine, step
+from epimachine import runner
+from epimachine.action import product_update
+from epimachine.codec import component_of_point, decode, encode
+from epimachine.logic import TAPE_A, Evaluator, make_model, sorted_worlds
+from epimachine.machine import HALTED, FiniteConfiguration, parse_machine, run_oracle, step
+from epimachine.program import compile_program
 from epimachine.runner import (
     emulate,
     export_dot,
@@ -19,7 +22,7 @@ from epimachine.runner import (
     verify_lockstep,
 )
 
-from helpers import MACHINE_DIR, load
+from helpers import MACHINE_DIR, blank, load, two_marks_config
 
 
 def test_emulate_one_step_matches_oracle(flip_machine):
@@ -265,3 +268,82 @@ def test_python_dash_m_runs_the_cli():
     assert result.returncode == 0, result.stderr
     assert "verdict: emulation matches the direct simulation" in result.stdout
     assert "RuntimeWarning" not in result.stderr
+
+
+@pytest.mark.parametrize("name", ("flip", "increment", "bb2", "bb3"))
+@pytest.mark.parametrize("start", (two_marks_config, blank))
+def test_flat_ids_match_the_nested_product(name, start):
+    """A plain update loop keeps the nested (parent, action) ids beside
+    ``emulate``; mapping each flat (k, action) back through the previous
+    step's sorted worlds gives exactly the nested model."""
+    spec, _ = load(name)
+    config = start(spec)
+    states = tuple(spec.states)
+    program = compile_program(spec).program
+    trace = emulate(spec, config, 16)
+    nested = encode(config, states).model
+    assert trace.entries[0].model == nested
+    to_nested = {w: w for w in nested.worlds}
+    for previous, entry in zip(trace.entries, trace.entries[1:]):
+        nested = product_update(nested, program)
+        parents = sorted_worlds(previous.model.worlds)
+        to_nested = {
+            (k, action): (to_nested[parents[k] if isinstance(k, int) else k], action)
+            for k, action in entry.model.worlds
+        }
+        model = entry.model
+        assert len(to_nested) == len(nested.worlds)
+        assert frozenset(to_nested.values()) == nested.worlds
+        assert frozenset(to_nested[w] for w in model.valuation) == nested.valuation
+        assert to_nested[model.point] == nested.point
+        for agent, relation in model.relations.items():
+            classes = {frozenset(to_nested[w] for w in cls) for cls in relation.classes()}
+            assert classes == set(nested.relations[agent].classes()), (entry.index, agent)
+        assert decode(nested, states) == entry.decoded, entry.index
+        assert model_stats(nested) == entry.stats, entry.index
+    assert trace.stop_reason == "halted"
+
+
+def test_world_ids_stay_one_pair_deep():
+    spec, initial = load("march")
+    trace = emulate(spec, initial, 40)
+    assert len(trace.entries) == 41
+    for entry in trace.entries:
+        for world in entry.model.worlds:
+            parts = world if isinstance(world, tuple) else ()
+            assert not any(isinstance(part, tuple) for part in parts), (entry.index, world)
+
+
+def test_bb4_halts_in_lockstep_with_reencoding():
+    spec, initial = load("bb4")
+    report = verify_lockstep(spec, initial, 200, reencode=True)
+    assert report.ok(), report
+    assert report.stop_reason == "halted"
+    # 107 transitions, then the halt state has none: the 108th update is headless
+    assert report.steps == 108
+    oracle = run_oracle(spec, initial, 200)
+    assert oracle.halted and oracle.steps == 107
+    assert sum(oracle.configs[-1].tape) == 13
+
+
+def test_emulate_releases_the_checker_slot(flip_machine):
+    spec, config = flip_machine
+    emulate(spec, config, 3)
+    assert Evaluator._last is None
+
+
+def test_cli_emulate_compiles_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    original = runner.compile_program
+
+    def counting_compile(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(runner, "compile_program", counting_compile)
+    program_file = tmp_path / "program.json"
+    flip_path = str(MACHINE_DIR / "flip.tm")
+    assert main(["emulate", flip_path, "--steps", "3", "--emit-program", str(program_file)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    assert program_file.read_text().startswith("{")

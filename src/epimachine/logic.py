@@ -3,13 +3,14 @@ set-at-a-time model checker.
 
 The language has one propositional atom ``p`` and one box operator per
 relation index. Disjunction and the diamond are derived operators, not AST
-nodes. All accessibility relations handled here are equivalence relations,
-stored class-wise so membership checks are cheap.
+nodes; nodes are interned, so equal formulas are one object. Relations are
+equivalence relations, stored as their classes, in no particular order.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
 
@@ -90,34 +91,44 @@ def agent_universe(states: Iterable[str]) -> frozenset:
 # formulas
 
 
+_NODES = weakref.WeakValueDictionary()  # (class, *fields) -> the one node
+
+
 class Formula:
-    """Base class for formula AST nodes."""
+    """Base class for formula AST nodes, interned on class and fields."""
 
     __slots__ = ()
 
+    def __new__(cls, *fields):
+        return _NODES.setdefault((cls, *fields), object.__new__(cls))
 
-@dataclass(frozen=True)
+    def __reduce__(self):
+        """Copies and unpickled nodes are built through ``__new__``, so interned."""
+        return type(self), tuple(vars(self).values())
+
+
+@dataclass(frozen=True, eq=False)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box(Formula):
     agent: Agent
     sub: Formula
@@ -266,13 +277,13 @@ def format_formula(formula: Formula) -> str:
 
 
 class EquivRelation:
-    """Equivalence relation on a finite universe, stored as a partition."""
+    """Equivalence relation on a finite universe: a partition, in build order."""
 
     __slots__ = ("_universe", "_classes", "_index")
 
     def __init__(self, universe: Iterable, classes: Iterable[Iterable]):
         self._universe = frozenset(universe)
-        canon = []
+        parts = []
         seen = set()
         for cls in classes:
             members = frozenset(cls)
@@ -281,12 +292,11 @@ class EquivRelation:
             if members & seen:
                 raise ValueError("classes are not disjoint")
             seen |= members
-            canon.append(members)
+            parts.append(members)
         if seen != self._universe:
             raise ValueError("classes do not partition the universe")
-        canon.sort(key=lambda c: min(world_sort_key(x) for x in c))
-        self._classes = tuple(canon)
-        self._index = {x: i for i, cls in enumerate(canon) for x in cls}
+        self._classes = tuple(parts)
+        self._index = {x: i for i, cls in enumerate(parts) for x in cls}
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple], universe: Iterable) -> "EquivRelation":
@@ -309,10 +319,6 @@ class EquivRelation:
         for w in universe:
             groups.setdefault(find(w), []).append(w)
         return cls(universe, groups.values())
-
-    @classmethod
-    def identity(cls, universe: Iterable) -> "EquivRelation":
-        return cls.from_pairs((), universe)
 
     @property
     def universe(self) -> frozenset:
@@ -437,9 +443,6 @@ class PointedKripkeModel:
     def successors(self, agent: Agent, world: World) -> frozenset:
         return self.relation(agent).class_of(world)
 
-    def has_atom(self, world: World) -> bool:
-        return world in self.valuation
-
 
 def make_model(
     worlds: Iterable,
@@ -455,8 +458,8 @@ def make_model(
 
 class Evaluator:
     """Set-at-a-time model checker for one model: each satisfaction set is
-    built from the sets of the formula's parts and memoized on formula
-    identity (the memo holds the formula, so its id stays unique)."""
+    built from the sets of the formula's parts and memoized on the formula
+    node, which interning makes one object per distinct formula."""
 
     __slots__ = ("model", "_sets")
     _last: "Evaluator | None" = None
@@ -483,9 +486,9 @@ class Evaluator:
         return world in self.sat_set(formula)
 
     def sat_set(self, formula: Formula) -> frozenset:
-        hit = self._sets.get(id(formula))
+        hit = self._sets.get(formula)
         if hit is not None:
-            return hit[1]
+            return hit
         model = self.model
         if isinstance(formula, Top):
             value = model.worlds
@@ -501,7 +504,7 @@ class Evaluator:
             value = frozenset(w for cls in classes if cls <= inner for w in cls)
         else:
             raise TypeError(f"not a formula: {formula!r}")
-        self._sets[id(formula)] = (formula, value)
+        self._sets[formula] = value
         return value
 
 

@@ -17,8 +17,8 @@ The compiled program has five action families:
 * ``mount:q:i`` one per transition; its descendant is the new head world,
   attached at the destination cell through the relation of the target state.
 
-The builders are cached so equal formulas are shared objects; satisfaction
-sets are memoized on formula identity.
+Equal formulas are one object, interned in ``logic``; the builders are
+cached only to save rebuilding them.
 """
 
 from __future__ import annotations
@@ -269,10 +269,6 @@ class ActionRole:
 
     family: str
     detail: str = ""
-
-    @property
-    def action_id(self) -> str:
-        return f"{self.family}:{self.detail}" if self.detail else self.family
 
 
 @dataclass(frozen=True)

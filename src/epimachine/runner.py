@@ -246,18 +246,19 @@ def _quote(text: str) -> str:
 
 def export_dot(model: PointedKripkeModel) -> str:
     """Undirected graph text: one node per world, one edge per non-reflexive
-    pair, labeled by the relation index. Output is a deterministic function
-    of the model."""
+    pair, labeled by the relation index. Nodes, classes and members are put
+    in ``sorted_worlds`` order here, whatever order the relations keep."""
     lines = ["graph model {", "  node [shape=circle];"]
-    for world in sorted_worlds(model.worlds):
+    rank = {world: k for k, world in enumerate(sorted_worlds(model.worlds))}
+    for world in rank:
         label = world_label(world) + (" p" if world in model.valuation else " ¬p")
         attrs = [f"label={_quote(label)}"]
         if world == model.point:
             attrs.append("peripheries=2")
         lines.append(f"  {_quote(world_label(world))} [{', '.join(attrs)}];")
     for agent in sorted(model.relations, key=lambda a: a.token):
-        for cls in model.relations[agent].classes():
-            members = sorted_worlds(cls)
+        for cls in sorted(model.relations[agent].classes(), key=lambda c: min(map(rank.get, c))):
+            members = sorted(cls, key=rank.get)
             for i, left in enumerate(members):
                 for right in members[i + 1 :]:
                     lines.append(

@@ -1,4 +1,8 @@
+import copy
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -272,3 +276,23 @@ def test_equiv_relation_partition_validation():
         EquivRelation({"x", "y"}, [{"x"}])
     with pytest.raises(ValueError):
         EquivRelation({"x", "y"}, [{"x", "y"}, {"y"}])
+
+
+@given(formula_strategy)
+@settings(max_examples=200)
+def test_parse_returns_the_interned_node(formula):
+    assert parse_formula(format_formula(formula)) is formula
+
+
+def test_copies_of_a_formula_are_the_formula():
+    formula = diamond(TAPE_A, And(P, Not(TOP)))
+    assert copy.copy(formula) is formula
+    assert copy.deepcopy(formula) is formula
+    assert pickle.loads(pickle.dumps(formula)) is formula
+    assert Not(Box(Agent("a"), Not(And(P, Not(TOP))))) is formula
+
+
+def test_interning_does_not_keep_formulas_alive():
+    ref = weakref.ref(Box(state_agent("unused"), Not(P)))
+    gc.collect()
+    assert ref() is None

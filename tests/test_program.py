@@ -7,6 +7,7 @@ from epimachine.logic import (
     TAPE_A,
     TAPE_B,
     Evaluator,
+    Formula,
     box,
     conj,
     diamond,
@@ -41,7 +42,7 @@ from epimachine.program import (
     symbol_world_formula,
 )
 
-from helpers import brute_sat_set
+from helpers import brute_sat_set, load
 
 
 def test_formula_shapes():
@@ -261,3 +262,42 @@ def test_compile_is_deterministic(flip_machine):
     from epimachine.program import export_compiled
 
     assert export_compiled(compile_program(spec)) == export_compiled(compile_program(spec))
+
+
+def _count_nodes_and_structures(formulas):
+    """Formula objects reachable from ``formulas``, and their distinct
+    structures, compared field by field rather than with ``==``."""
+    nodes = {}
+    stack = list(formulas)
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(v for v in vars(node).values() if isinstance(v, Formula))
+    shapes = {}
+
+    def shape(node):
+        if id(node) not in shapes:
+            fields = (shape(v) if isinstance(v, Formula) else v for v in vars(node).values())
+            shapes[id(node)] = (type(node).__name__, *fields)
+        return shapes[id(node)]
+
+    return len(nodes), len({shape(node) for node in nodes.values()})
+
+
+@pytest.mark.parametrize(
+    "name, distinct", [("flip", 177), ("bb3", 323), ("bb4", 396), ("march", 104)]
+)
+def test_compiled_preconditions_hold_one_node_per_formula(name, distinct):
+    spec, _ = load(name)
+    nodes, structures = _count_nodes_and_structures(compile_program(spec).program.pre.values())
+    assert structures == distinct
+    assert nodes == distinct
+
+
+def test_uncached_wrappers_return_interned_nodes():
+    assert neg(cell_formula()) is neg(cell_formula())
+    assert diamond(TAPE_A, neg(P)) is diamond(TAPE_A, neg(P))
+    assert disj(P, cell_formula()) is disj(P, cell_formula())
+    assert conj(P, box(TAPE_B, P), P) is conj(P, box(TAPE_B, P), P)
+    assert parse_formula("<a>~p") is cell_formula().right

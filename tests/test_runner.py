@@ -10,7 +10,14 @@ import epimachine
 from epimachine import runner
 from epimachine.action import product_update
 from epimachine.codec import component_of_point, decode, encode
-from epimachine.logic import TAPE_A, Evaluator, make_model, sorted_worlds
+from epimachine.logic import (
+    TAPE_A,
+    EquivRelation,
+    Evaluator,
+    PointedKripkeModel,
+    make_model,
+    sorted_worlds,
+)
 from epimachine.machine import HALTED, FiniteConfiguration, parse_machine, run_oracle, step
 from epimachine.program import compile_program
 from epimachine.runner import (
@@ -347,3 +354,38 @@ def test_cli_emulate_compiles_once(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert len(calls) == 1
     assert program_file.read_text().startswith("{")
+
+
+def test_dot_does_not_depend_on_class_order():
+    spec, initial = load("bb2")
+    trace = emulate(spec, initial, 3)
+    for entry in trace.entries:
+        model = entry.model
+        relations = {
+            agent: EquivRelation(model.worlds, reversed(rel.classes()))
+            for agent, rel in model.relations.items()
+        }
+        reordered = PointedKripkeModel(model.worlds, relations, model.valuation, model.point)
+        assert reordered == model
+        assert export_dot(reordered) == export_dot(model), entry.index
+
+
+def test_dot_files_do_not_depend_on_hash_seed(tmp_path):
+    src = Path(epimachine.__file__).resolve().parents[1]
+    renders = []
+    for seed in ("1", "2"):
+        directory = tmp_path / f"seed{seed}"
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "epimachine", "emulate", str(MACHINE_DIR / "bb2.tm"),
+                "--steps", "3", "--dot-dir", str(directory),
+            ],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        renders.append({path.name: path.read_bytes() for path in directory.iterdir()})
+    assert sorted(renders[0]) == [f"step_{n:03d}.dot" for n in range(4)]
+    assert renders[0] == renders[1]

@@ -112,7 +112,7 @@ def applicable_designated(
     """Designated actions whose precondition holds at the point, in action-id
     order. Length 1 means the update is defined and deterministic here."""
     ev = Evaluator.of(model)
-    return [a for a in sorted(program.designated) if model.point in ev.sat_set(program.pre[a])]
+    return [a for a in sorted(program.designated) if ev.check(model.point, program.pre[a])]
 
 
 def product_update(
@@ -134,17 +134,17 @@ def product_update(
 
     ev = Evaluator.of(model)
     new_worlds = [(w, a) for a in program.actions for w in ev.sat_set(program.pre[a])]
+    universe = frozenset(new_worlds)
 
     relations = {}
     for agent in model.agents:
-        model_rel = model.relations[agent]
-        program_rel = program.relations[agent]
+        model_index = model.relations[agent].index
+        program_index = program.relations[agent].index
         groups: dict = {}
         for world in new_worlds:
-            parent, action = world
-            key = (model_rel.class_index(parent), program_rel.class_index(action))
+            key = (model_index[world[0]], program_index[world[1]])
             groups.setdefault(key, []).append(world)
-        relations[agent] = EquivRelation(new_worlds, groups.values())
+        relations[agent] = EquivRelation(universe, groups.values())
 
     valuation = frozenset(
         (parent, action)
@@ -152,7 +152,7 @@ def product_update(
         if program.post.get(action, parent in model.valuation)
     )
     point = (model.point, chosen[0])
-    return PointedKripkeModel(frozenset(new_worlds), relations, valuation, point)
+    return PointedKripkeModel(universe, relations, valuation, point)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,16 @@ A configuration becomes a chain of cell worlds (with generous blank margins
 on both sides), one detached symbol world per 1-cell, and one head world
 attached through the relation of the current state. The atom p holds
 exactly at even absolute positions, which is what makes the cell chain
-walkable and the end cells recognizable.
+walkable and the end cells recognizable. Every relation of an encoding
+pairs disjoint worlds, so the encoder writes its classes down directly, and
+it refuses a cell span above ``MAX_SPAN`` before building anything.
 
 Decoding works on the connected component of the designated world and
-anchors absolute position 0 at that world. Under the compiled program the
-new point is always the descendant of the previous position-0 cell, so
-absolute head positions survive updates exactly.
+anchors absolute position 0 at that world. The component is walked once per
+model, by the model's shared checker, so decode and the runner's statistics
+share it. Under the compiled program the new point is always the descendant
+of the previous position-0 cell, so absolute head positions survive updates
+exactly.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from .logic import (
     SYMBOL,
     TAPE_A,
     TAPE_B,
+    EquivRelation,
     Evaluator,
     PointedKripkeModel,
-    make_model,
     state_agent,
     world_label,
 )
@@ -32,6 +36,10 @@ from .machine import HALTED, FiniteConfiguration, Halted
 from .program import cell_formula, digit_formula, head_formula, leftmost_formula, rightmost_formula
 
 DEFAULT_PADDING = 5
+
+# Largest cell span ``encode`` builds: cells run from -span to span, about
+# 2 * span worlds. Corpus, CI and benchmark runs stay below 300.
+MAX_SPAN = 10_000
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,7 @@ def _build_tape_model(
     if any(j not in cells for j in symbols):
         raise ValueError("symbol outside the cell range")
     head_world = f"h[{head}]"
-    worlds = set(cells.values()) | set(symbols.values()) | {head_world}
+    worlds = frozenset([*cells.values(), *symbols.values(), head_world])
 
     pairs = {
         TAPE_A: [(cells[j], cells[j + 1]) for j in range(lo, hi) if j % 2 == 0],
@@ -98,7 +106,14 @@ def _build_tape_model(
     if head % 2 == 0:
         valuation.add(head_world)
 
-    model = make_model(worlds, pairs, valuation, cells[0])
+    # Each relation's generator pairs are disjoint, so they are its classes
+    # of two; every other world is alone in its class.
+    relations = {}
+    for agent, agent_pairs in pairs.items():
+        paired = {w for pair in agent_pairs for w in pair}
+        singletons = zip(worlds - paired)
+        relations[agent] = EquivRelation(worlds, [*agent_pairs, *singletons])
+    model = PointedKripkeModel(worlds, relations, valuation, cells[0])
     return model, cells, symbols, head_world
 
 
@@ -110,6 +125,7 @@ def encode(
     Cells span -(u+padding)..(u+padding) where u is the even-rounded window
     bound, so the head starts well clear of the ends. The padding must be
     odd: the extreme cells need odd positions for the end-cell formulas.
+    A span above ``MAX_SPAN`` raises ValueError before anything is built.
     """
     if padding % 2 == 0 or padding < 3:
         raise ValueError("padding must be an odd integer >= 3")
@@ -117,6 +133,8 @@ def encode(
     if config.state not in states:
         raise ValueError(f"configuration state {config.state!r} not in the state set")
     span = ceil_even(config.window) + padding
+    if span > MAX_SPAN:
+        raise ValueError(f"cell span {span} exceeds the limit of {MAX_SPAN} (cells -span..span)")
     model, cells, symbols, head_world = _build_tape_model(
         -span, span, config.one_positions(), config.head, config.state, states
     )
@@ -124,17 +142,9 @@ def encode(
 
 
 def component_of_point(model: PointedKripkeModel) -> frozenset:
-    """Worlds reachable from the point under the union of all relations."""
-    seen = {model.point}
-    frontier = [model.point]
-    while frontier:
-        world = frontier.pop()
-        for relation in model.relations.values():
-            for other in relation.class_of(world):
-                if other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-    return frozenset(seen)
+    """Worlds reachable from the point under the union of all relations,
+    found once per model by its shared checker."""
+    return Evaluator.of(model).component()
 
 
 @dataclass(frozen=True)

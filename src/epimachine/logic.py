@@ -4,7 +4,11 @@ set-at-a-time model checker.
 The language has one propositional atom ``p`` and one box operator per
 relation index. Disjunction and the diamond are derived operators, not AST
 nodes; nodes are interned, so equal formulas are one object. Relations are
-equivalence relations, stored as their classes, in no particular order.
+equivalence relations, stored as their classes, in no particular order,
+with an index from each element to its class; a build checks the partition
+in one pass over that index, and a one-to-one rename maps both without a
+rebuild. The checker numbers a model's worlds once and keeps satisfaction
+sets as integer bitmasks.
 """
 
 from __future__ import annotations
@@ -283,20 +287,14 @@ class EquivRelation:
 
     def __init__(self, universe: Iterable, classes: Iterable[Iterable]):
         self._universe = frozenset(universe)
-        parts = []
-        seen = set()
-        for cls in classes:
-            members = frozenset(cls)
-            if not members:
-                continue
-            if members & seen:
-                raise ValueError("classes are not disjoint")
-            seen |= members
-            parts.append(members)
-        if seen != self._universe:
+        parts = tuple(filter(None, map(frozenset, classes)))
+        index = {x: i for i, cls in enumerate(parts) for x in cls}
+        if len(index) != sum(map(len, parts)):
+            raise ValueError("classes are not disjoint")
+        if index.keys() != self._universe:
             raise ValueError("classes do not partition the universe")
-        self._classes = tuple(parts)
-        self._index = {x: i for i, cls in enumerate(parts) for x in cls}
+        self._classes = parts
+        self._index = index
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple], universe: Iterable) -> "EquivRelation":
@@ -327,20 +325,30 @@ class EquivRelation:
     def classes(self) -> tuple:
         return self._classes
 
+    @property
+    def index(self) -> Mapping:
+        """Each element's position in ``classes()``; read it, do not change it."""
+        return self._index
+
+    def renamed(self, rename: Mapping, universe: frozenset) -> "EquivRelation":
+        """The same partition under ``rename``, a one-to-one map of the
+        universe onto ``universe``; a bijection keeps a partition one, so the
+        classes and the index are mapped, not checked again."""
+        out = object.__new__(EquivRelation)
+        out._universe = universe
+        get = rename.__getitem__
+        out._classes = tuple([frozenset(map(get, cls)) for cls in self._classes])
+        out._index = {rename[x]: i for x, i in self._index.items()}
+        return out
+
     def class_of(self, x) -> frozenset:
         try:
             return self._classes[self._index[x]]
         except KeyError:
             raise ValueError(f"element outside universe: {x!r}") from None
 
-    def class_index(self, x) -> int:
-        try:
-            return self._index[x]
-        except KeyError:
-            raise ValueError(f"element outside universe: {x!r}") from None
-
     def related(self, x, y) -> bool:
-        return self.class_index(x) == self.class_index(y)
+        return self.class_of(x) is self.class_of(y)
 
     def pairs(self) -> frozenset:
         """Explicit pair set, reflexive pairs included."""
@@ -456,17 +464,33 @@ def make_model(
     return PointedKripkeModel(worlds, relations, frozenset(valuation), point)
 
 
-class Evaluator:
-    """Set-at-a-time model checker for one model: each satisfaction set is
-    built from the sets of the formula's parts and memoized on the formula
-    node, which interning makes one object per distinct formula."""
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
-    __slots__ = ("model", "_sets")
+
+class Evaluator:
+    """Set-at-a-time model checker for one model.
+
+    The worlds are numbered once, and a satisfaction set is an ``int`` whose
+    bit k is set iff world k satisfies the formula: ``Not`` and ``And`` cost
+    one integer operation each, and ``Box`` clears from its inner set every
+    class of the agent with more than one member that the inner set does not
+    contain (a world alone in its class satisfies [i]f iff it satisfies f).
+    Sets are memoized on the formula node, which interning makes one object
+    per distinct formula; ``sat_set`` turns one into a frozenset when asked.
+    """
+
+    __slots__ = ("model", "_worlds", "_bit", "_full", "_masks", "_sets", "_blocks", "_component")
     _last: "Evaluator | None" = None
 
     def __init__(self, model: PointedKripkeModel):
         self.model = model
+        self._worlds = tuple(model.worlds)
+        self._bit = {w: 1 << k for k, w in enumerate(self._worlds)}
+        self._full = (1 << len(self._worlds)) - 1
+        self._masks: dict = {}
         self._sets: dict = {}
+        self._blocks: dict = {}  # agent -> masks of its classes of two or more worlds
+        self._component = None
 
     @classmethod
     def of(cls, model: PointedKripkeModel) -> "Evaluator":
@@ -483,29 +507,76 @@ class Evaluator:
         Evaluator._last = None
 
     def check(self, world: World, formula: Formula) -> bool:
-        return world in self.sat_set(formula)
+        return self._mask(formula) & self._bit.get(world, 0) != 0
 
     def sat_set(self, formula: Formula) -> frozenset:
         hit = self._sets.get(formula)
+        if hit is None:
+            mask = self._mask(formula)
+            # binary digits lowest bit first, as bytes 0/1 to select worlds by
+            bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES) if mask else b""
+            hit = self._sets[formula] = frozenset(itertools.compress(self._worlds, bits))
+        return hit
+
+    def component(self) -> frozenset:
+        """Worlds reachable from the point under the union of all relations,
+        walked once per checker; the walk enters each (relation, class) pair
+        at most once."""
+        if self._component is None:
+            links: dict = {}  # world -> its classes of two or more worlds
+            for relation in self.model.relations.values():
+                for cls in relation.classes():
+                    if len(cls) > 1:
+                        for world in cls:
+                            if world in links:
+                                links[world].append(cls)
+                            else:
+                                links[world] = [cls]
+            seen = {self.model.point}
+            frontier = [self.model.point]
+            entered = set()
+            for world in frontier:
+                for cls in links.get(world, ()):
+                    if cls not in entered:
+                        entered.add(cls)
+                        for other in cls:
+                            if other not in seen:
+                                seen.add(other)
+                                frontier.append(other)
+            self._component = frozenset(seen)
+        return self._component
+
+    def _mask(self, formula: Formula) -> int:
+        hit = self._masks.get(formula)
         if hit is not None:
             return hit
-        model = self.model
-        if isinstance(formula, Top):
-            value = model.worlds
-        elif isinstance(formula, Atom):
-            value = model.valuation
-        elif isinstance(formula, Not):
-            value = model.worlds - self.sat_set(formula.sub)
-        elif isinstance(formula, And):
-            value = self.sat_set(formula.left) & self.sat_set(formula.right)
-        elif isinstance(formula, Box):
-            inner = self.sat_set(formula.sub)
-            classes = model.relation(formula.agent).classes()
-            value = frozenset(w for cls in classes if cls <= inner for w in cls)
+        kind = type(formula)
+        if kind is And:
+            value = self._mask(formula.left) & self._mask(formula.right)
+        elif kind is Not:
+            value = self._full ^ self._mask(formula.sub)
+        elif kind is Box:
+            value = inner = self._mask(formula.sub)
+            for block in self._blocks_of(formula.agent):
+                if inner & block != block:
+                    value &= ~block
+        elif kind is Atom:
+            value = sum(map(self._bit.__getitem__, self.model.valuation))
+        elif kind is Top:
+            value = self._full
         else:
             raise TypeError(f"not a formula: {formula!r}")
-        self._sets[formula] = value
+        self._masks[formula] = value
         return value
+
+    def _blocks_of(self, agent: Agent) -> list:
+        blocks = self._blocks.get(agent)
+        if blocks is None:
+            bit = self._bit
+            classes = self.model.relation(agent).classes()
+            blocks = [sum(map(bit.__getitem__, cls)) for cls in classes if len(cls) > 1]
+            self._blocks[agent] = blocks
+        return blocks
 
 
 def eval_formula(model: PointedKripkeModel, world: World, formula: Formula) -> bool:

@@ -10,7 +10,8 @@ Product worlds are ``(parent, action)`` pairs. From step 2 on the loop renames
 each one ``(k, action)``, with k the index of the parent among the previous
 step's sorted worlds (its position among that step's DOT nodes), so ids stay
 one pair deep however long the run. Step-1 and re-encoded parents are encoder
-names and stay as they are.
+names and stay as they are. The rename is one-to-one, so it maps the
+relations the update built rather than building them again.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from .action import DeterminismViolation, applicable_designated, product_update
 from .codec import DEFAULT_PADDING, Malformed, component_of_point, decode, encode
-from .logic import EquivRelation, Evaluator, PointedKripkeModel, sorted_worlds, world_label
+from .logic import Evaluator, PointedKripkeModel, sorted_worlds, world_label
 from .machine import (
     HALTED,
     FiniteConfiguration,
@@ -112,10 +113,7 @@ def flatten_ids(updated: PointedKripkeModel, previous: PointedKripkeModel) -> Po
     index = {w: k for k, w in enumerate(sorted_worlds(previous.worlds))}
     rename = {w: (index[w[0]], w[1]) for w in updated.worlds}
     worlds = frozenset(rename.values())
-    relations = {
-        agent: EquivRelation(worlds, ([rename[w] for w in cls] for cls in rel.classes()))
-        for agent, rel in updated.relations.items()
-    }
+    relations = {agent: rel.renamed(rename, worlds) for agent, rel in updated.relations.items()}
     valuation = frozenset(rename[w] for w in updated.valuation)
     return PointedKripkeModel(worlds, relations, valuation, rename[updated.point])
 

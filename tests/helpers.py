@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from epimachine.logic import And, Atom, Box, Not, Top
+from epimachine.logic import And, Atom, Box, EquivRelation, Not, PointedKripkeModel, Top
 from epimachine.machine import FiniteConfiguration, blank_config, parse_machine
 
 MACHINE_DIR = Path(__file__).resolve().parent.parent / "machines"
@@ -80,6 +80,44 @@ def brute_sat_set(model, formula):
         for w in model.worlds
         if brute_eval(model.worlds, pairs, model.valuation, w, formula)
     )
+
+
+def brute_component(model):
+    """Worlds reachable from the point, by repeated passes over every
+    relation's explicit pair set."""
+    pairs = set().union(*(rel.pairs() for rel in model.relations.values()))
+    seen = {model.point}
+    grown = True
+    while grown:
+        grown = False
+        for x, y in pairs:
+            if x in seen and y not in seen:
+                seen.add(y)
+                grown = True
+    return frozenset(seen)
+
+
+# --- random models built from partitions ---
+
+
+def random_partition_model(rng: random.Random, agents, fragments=1):
+    """A model made of ``fragments`` disjoint parts of 1-8 worlds. Each
+    agent's classes mix singletons with classes of 2-5 worlds, and no class
+    crosses from one part to another, so the parts are disconnected."""
+    worlds = []
+    classes = {agent: [] for agent in agents}
+    for f in range(fragments):
+        part = [f"f{f}w{i}" for i in range(rng.randint(1, 8))]
+        worlds += part
+        for agent in agents:
+            rest = rng.sample(part, len(part))
+            while rest:
+                size = rng.choice((1, 1, 2, 3, 4, 5))
+                classes[agent].append(rest[:size])
+                del rest[:size]
+    relations = {agent: EquivRelation(worlds, cls) for agent, cls in classes.items()}
+    valuation = {w for w in worlds if rng.random() < 0.5}
+    return PointedKripkeModel(frozenset(worlds), relations, valuation, rng.choice(worlds))
 
 
 # --- random machine configurations ---

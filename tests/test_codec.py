@@ -2,7 +2,11 @@ import random
 
 import pytest
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from epimachine.codec import (
+    MAX_SPAN,
     Malformed,
     ceil_even,
     component_of_point,
@@ -28,7 +32,7 @@ from epimachine.program import (
     rightmost_formula,
 )
 
-from helpers import brute_sat_set, random_config
+from helpers import brute_component, brute_sat_set, random_config, random_partition_model
 
 
 def test_ceil_even_examples():
@@ -252,3 +256,17 @@ def test_validate_encoding_catches_double_symbol_attachment(flip_machine, flip_e
 def test_component_of_point(flip_encoded):
     model = flip_encoded.model
     assert component_of_point(model) == model.worlds
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 4))
+def test_component_of_point_matches_pair_search(rng, fragments):
+    agents = (TAPE_A, TAPE_B, SYMBOL, state_agent("q0"))
+    model = random_partition_model(rng, agents, fragments)
+    assert component_of_point(model) == brute_component(model)
+
+
+def test_encode_refuses_an_oversized_span(flip_machine):
+    spec, _ = flip_machine
+    far = FiniteConfiguration((MAX_SPAN - 2, MAX_SPAN), (0, 0, 0), MAX_SPAN - 1, spec.start)
+    with pytest.raises(ValueError, match=f"cell span {MAX_SPAN + 5} exceeds"):
+        encode(far, spec.states)

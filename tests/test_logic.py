@@ -18,6 +18,7 @@ from epimachine.logic import (
     And,
     Box,
     EquivRelation,
+    Evaluator,
     FormulaSyntaxError,
     Not,
     box,
@@ -36,7 +37,13 @@ from epimachine.logic import (
     state_agent,
 )
 
-from helpers import brute_eval, brute_sat_set, model_pairs, naive_closure_pairs
+from helpers import (
+    brute_eval,
+    brute_sat_set,
+    model_pairs,
+    naive_closure_pairs,
+    random_partition_model,
+)
 
 AGENTS = (TAPE_A, TAPE_B, SYMBOL, state_agent("q0"))
 
@@ -296,3 +303,25 @@ def test_interning_does_not_keep_formulas_alive():
     ref = weakref.ref(Box(state_agent("unused"), Not(P)))
     gc.collect()
     assert ref() is None
+
+
+def test_equiv_relation_rejects_foreign_members():
+    with pytest.raises(ValueError, match="classes do not partition the universe"):
+        EquivRelation({"x"}, [{"x", "y"}])
+    with pytest.raises(ValueError, match="classes are not disjoint"):
+        EquivRelation({"x", "y", "z"}, [{"x", "y"}, {"y", "z"}])
+
+
+@given(st.randoms(use_true_random=False), st.lists(formula_strategy, min_size=1, max_size=4))
+@settings(max_examples=200)
+def test_bitmask_checker_matches_bruteforce(rng, formulas):
+    model = random_partition_model(rng, AGENTS)
+    ev = Evaluator(model)
+    for formula in formulas:
+        expected = brute_sat_set(model, formula)
+        assert type(ev.sat_set(formula)) is frozenset
+        assert ev.sat_set(formula) == expected
+        assert sat_set(model, formula) == expected
+        for world in model.worlds:
+            assert ev.check(world, formula) == (world in expected)
+            assert eval_formula(model, world, formula) == (world in expected)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -389,3 +390,29 @@ def test_dot_files_do_not_depend_on_hash_seed(tmp_path):
         renders.append({path.name: path.read_bytes() for path in directory.iterdir()})
     assert sorted(renders[0]) == [f"step_{n:03d}.dot" for n in range(4)]
     assert renders[0] == renders[1]
+
+
+def test_emulate_walks_each_component_once(monkeypatch):
+    walks = 0
+    original = Evaluator.component
+
+    def counting_component(self):
+        nonlocal walks
+        walks += self._component is None
+        return original(self)
+
+    monkeypatch.setattr(Evaluator, "component", counting_component)
+    spec, initial = load("march")
+    emulate(spec, initial, 10)
+    # decode and stats of one model share one walk: the start model plus one
+    # per update
+    assert walks == 11
+
+
+def test_verify_stops_at_once_on_a_far_head(tmp_path, capsys):
+    far = tmp_path / "far.tm"
+    far.write_text("machine far\nstates r\nstart r\nhead 100000000\ntrans r 0 -> r 1 R\n")
+    started = time.perf_counter()
+    assert main(["verify", str(far)]) == 2
+    assert time.perf_counter() - started < 5
+    assert "cell span 100000007 exceeds" in capsys.readouterr().err

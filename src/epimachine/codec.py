@@ -32,14 +32,10 @@ from .logic import (
     state_agent,
     world_label,
 )
-from .machine import HALTED, FiniteConfiguration, Halted
+from .machine import HALTED, MAX_SPAN, FiniteConfiguration, Halted
 from .program import cell_formula, digit_formula, head_formula, leftmost_formula, rightmost_formula
 
 DEFAULT_PADDING = 5
-
-# Largest cell span ``encode`` builds: cells run from -span to span, about
-# 2 * span worlds. Corpus, CI and benchmark runs stay below 300.
-MAX_SPAN = 10_000
 
 
 @dataclass(frozen=True)

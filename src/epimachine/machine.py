@@ -17,6 +17,11 @@ _MOVE_OFFSET = {"L": -1, "H": 0, "R": 1}
 _RESERVED_STATE_NAMES = {"a", "b", "1"}
 _BAD_NAME_CHARS = set("[]<>()~&|:#\"")
 
+# Largest cell span the encoder builds: cells run from -span to span, about
+# 2 * span worlds. Corpus, CI and benchmark runs stay below 300. The parser
+# holds an ``input`` tape to the same bound before building its window.
+MAX_SPAN = 10_000
+
 
 @dataclass(frozen=True)
 class Halted:
@@ -212,6 +217,7 @@ def parse_machine(text: str) -> tuple[MachineSpec, FiniteConfiguration]:
     transitions: dict = {}
     input_symbols = None
     head = None
+    head_line = None
 
     def fail(message, line):
         raise MachineFormatError(message, line)
@@ -274,6 +280,7 @@ def parse_machine(text: str) -> tuple[MachineSpec, FiniteConfiguration]:
                 head = int(tokens[1])
             except ValueError:
                 fail(f"malformed head position {tokens[1]!r}", lineno)
+            head_line = lineno
         else:
             fail(f"unknown directive {key!r}", lineno)
 
@@ -293,6 +300,8 @@ def parse_machine(text: str) -> tuple[MachineSpec, FiniteConfiguration]:
     if input_symbols is None:
         initial = blank_config(spec.start, head)
     else:
+        if abs(head) > MAX_SPAN:
+            fail(f"head {head} lies more than {MAX_SPAN} cells from cell 0", head_line)
         lo = min(0, head)
         hi = max(len(input_symbols) - 1, head)
         tape = tuple(

@@ -17,6 +17,11 @@ The compiled program has five action families:
 * ``mount:q:i`` one per transition; its descendant is the new head world,
   attached at the destination cell through the relation of the target state.
 
+An action's role is read from its id: the family is the part before the
+first colon and the detail the rest (``ActionRole.of``). The role tags of an
+exported program are exactly that split, so an imported program may leave
+them out but may not contradict its ids.
+
 Equal formulas are one object, interned in ``logic``; the builders are
 cached only to save rebuilding them.
 """
@@ -26,9 +31,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Sequence
 
-from .action import EpistemicProgram, build_program
+from .action import EpistemicProgram, build_program, export_program, import_program
 from .logic import (
     P,
     SYMBOL,
@@ -170,25 +175,25 @@ def symbol_copy_formula(states: tuple[str, ...]) -> Formula:
 # ---------------------------------------------------------------------------
 # precondition kinds
 
-_KIND_NAMES = (
-    "cell",
-    "symbol",
-    "digit",
-    "head",
-    "left-of",
-    "right-of",
-    "head-reading",
-    "left-of-reading",
-    "right-of-reading",
-    "far",
-    "rightmost",
-    "leftmost",
-    "penultimate-right",
-    "penultimate-left",
-    "interior",
-)
-_STATE_KINDS = ("head", "left-of", "right-of", "head-reading", "left-of-reading", "right-of-reading")
-_DIGIT_KINDS = ("digit", "head-reading", "left-of-reading", "right-of-reading")
+# Each kind's builder and the parameters it takes, in builder argument
+# order: a machine state, a digit, or the whole state set.
+_KINDS: dict[str, tuple[Callable[..., Formula], tuple[str, ...]]] = {
+    "cell": (cell_formula, ()),
+    "symbol": (symbol_world_formula, ()),
+    "far": (far_from_head_formula, ("states",)),
+    "rightmost": (rightmost_formula, ()),
+    "leftmost": (leftmost_formula, ()),
+    "penultimate-right": (penultimate_right_formula, ()),
+    "penultimate-left": (penultimate_left_formula, ()),
+    "interior": (interior_far_formula, ("states",)),
+    "digit": (digit_formula, ("digit",)),
+    "head": (head_formula, ("state",)),
+    "left-of": (left_of_head_formula, ("state",)),
+    "right-of": (right_of_head_formula, ("state",)),
+    "head-reading": (head_reading_formula, ("state", "digit")),
+    "left-of-reading": (left_of_head_reading_formula, ("state", "digit")),
+    "right-of-reading": (right_of_head_reading_formula, ("state", "digit")),
+}
 
 
 @dataclass(frozen=True)
@@ -201,62 +206,39 @@ class PreconditionKind:
     digit: int | None = None
 
     def __post_init__(self):
-        if self.name not in _KIND_NAMES:
+        if self.name not in _KINDS:
             raise ValueError(f"unknown precondition kind {self.name!r}")
-        if (self.state is not None) != (self.name in _STATE_KINDS):
+        params = _KINDS[self.name][1]
+        if (self.state is not None) != ("state" in params):
             raise ValueError(f"kind {self.name!r} and state parameter do not match")
-        if (self.digit is not None) != (self.name in _DIGIT_KINDS):
+        if (self.digit is not None) != ("digit" in params):
             raise ValueError(f"kind {self.name!r} and digit parameter do not match")
+
+
+def _kinds_taking(*params: str) -> list[str]:
+    """Names of the kinds whose parameters, the state set aside, are ``params``."""
+    return [n for n, (_, p) in _KINDS.items() if tuple(x for x in p if x != "states") == params]
 
 
 def all_kinds(states: Sequence[str]) -> tuple[PreconditionKind, ...]:
     """Every kind, instantiated over the given states and both digits."""
-    kinds = [PreconditionKind(n) for n in ("cell", "symbol", "far", "rightmost", "leftmost", "penultimate-right", "penultimate-left", "interior")]
-    kinds += [PreconditionKind("digit", digit=i) for i in (0, 1)]
+    kinds = [PreconditionKind(n) for n in _kinds_taking()]
+    kinds += [PreconditionKind(n, digit=i) for i in (0, 1) for n in _kinds_taking("digit")]
     for q in states:
-        kinds += [PreconditionKind(n, state=q) for n in ("head", "left-of", "right-of")]
-        for i in (0, 1):
-            kinds += [
-                PreconditionKind(n, state=q, digit=i)
-                for n in ("head-reading", "left-of-reading", "right-of-reading")
-            ]
+        kinds += [PreconditionKind(n, state=q) for n in _kinds_taking("state")]
+        kinds += [
+            PreconditionKind(n, state=q, digit=i)
+            for i in (0, 1)
+            for n in _kinds_taking("state", "digit")
+        ]
     return tuple(kinds)
 
 
 def precondition(kind: PreconditionKind, states: Sequence[str]) -> Formula:
     """Formula for a precondition kind; ``states`` is the machine state set."""
-    states = tuple(states)
-    if kind.name == "cell":
-        return cell_formula()
-    if kind.name == "symbol":
-        return symbol_world_formula()
-    if kind.name == "digit":
-        return digit_formula(kind.digit)
-    if kind.name == "head":
-        return head_formula(kind.state)
-    if kind.name == "left-of":
-        return left_of_head_formula(kind.state)
-    if kind.name == "right-of":
-        return right_of_head_formula(kind.state)
-    if kind.name == "head-reading":
-        return head_reading_formula(kind.state, kind.digit)
-    if kind.name == "left-of-reading":
-        return left_of_head_reading_formula(kind.state, kind.digit)
-    if kind.name == "right-of-reading":
-        return right_of_head_reading_formula(kind.state, kind.digit)
-    if kind.name == "far":
-        return far_from_head_formula(states)
-    if kind.name == "rightmost":
-        return rightmost_formula()
-    if kind.name == "leftmost":
-        return leftmost_formula()
-    if kind.name == "penultimate-right":
-        return penultimate_right_formula()
-    if kind.name == "penultimate-left":
-        return penultimate_left_formula()
-    if kind.name == "interior":
-        return interior_far_formula(states)
-    raise AssertionError(kind)
+    builder, params = _KINDS[kind.name]
+    args = {"state": kind.state, "digit": kind.digit, "states": tuple(states)}
+    return builder(*(args[p] for p in params))
 
 
 # ---------------------------------------------------------------------------
@@ -270,24 +252,31 @@ class ActionRole:
     family: str
     detail: str = ""
 
+    @classmethod
+    def of(cls, action: str) -> ActionRole:
+        """The role an action id names: family before the first colon,
+        detail after it (``cell:h:q0:1`` is ``("cell", "h:q0:1")``)."""
+        family, _, detail = action.partition(":")
+        return cls(family, detail)
+
 
 @dataclass(frozen=True)
 class CompiledProgram:
-    """An update program plus role tags and the growth mode it was built with."""
+    """An update program plus the growth mode it was built with."""
 
     program: EpistemicProgram
-    roles: Mapping[str, ActionRole]
     growth_mode: str
     machine: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "roles", dict(self.roles))
+    @property
+    def roles(self) -> dict[str, ActionRole]:
+        return {a: ActionRole.of(a) for a in self.program.actions}
 
     def designated_formulas(self) -> dict[str, Formula]:
         return {a: self.program.pre[a] for a in sorted(self.program.designated)}
 
     def actions_in_family(self, family: str) -> tuple[str, ...]:
-        return tuple(a for a in self.program.actions if self.roles[a].family == family)
+        return tuple(a for a in self.program.actions if ActionRole.of(a).family == family)
 
 
 def cell_action_ids(states: Sequence[str]) -> tuple[str, ...]:
@@ -314,23 +303,17 @@ def compile_program(spec: MachineSpec, growth_mode: str = "repaired") -> Compile
 
     pre: dict[str, Formula] = {}
     post: dict[str, bool] = {}
-    roles: dict[str, ActionRole] = {}
     pairs: dict[Agent, list[tuple[str, str]]] = {agent: [] for agent in agents}
 
     # designated cell-copy family: one action per cell-classifying formula
     pre["cell:R"] = rightmost_formula()
     pre["cell:L"] = leftmost_formula()
     pre["cell:mid"] = interior_far_formula(states)
-    roles["cell:R"] = ActionRole("cell", "R")
-    roles["cell:L"] = ActionRole("cell", "L")
-    roles["cell:mid"] = ActionRole("cell", "mid")
     for q in states:
         for i in (0, 1):
             pre[f"cell:h:{q}:{i}"] = head_reading_formula(q, i)
             pre[f"cell:l:{q}:{i}"] = left_of_head_reading_formula(q, i)
             pre[f"cell:r:{q}:{i}"] = right_of_head_reading_formula(q, i)
-            for side in ("h", "l", "r"):
-                roles[f"cell:{side}:{q}:{i}"] = ActionRole("cell", f"{side}:{q}:{i}")
     designated = cell_action_ids(states)
 
     # the tape structure is copied by relating cell actions pairwise; the
@@ -343,7 +326,6 @@ def compile_program(spec: MachineSpec, growth_mode: str = "repaired") -> Compile
 
     # symbol transfer, skipping the head cell
     pre["copy"] = symbol_copy_formula(states)
-    roles["copy"] = ActionRole("copy")
     attach_targets = sorted(
         a for a in designated if not a.startswith("cell:h:")
     )
@@ -354,21 +336,14 @@ def compile_program(spec: MachineSpec, growth_mode: str = "repaired") -> Compile
         target, written, move = spec.transitions[(q, i)]
         write_id = f"write:{q}:{i}"
         pre[write_id] = head_reading_formula(q, i)
-        roles[write_id] = ActionRole("write", f"{q}:{i}")
         if written == 1:
             pairs[SYMBOL].append((write_id, f"cell:h:{q}:{i}"))
 
+        # the mount fires where the cell action of the head's destination
+        # does; the cell ids' side letters h/l/r are the lower-cased moves
         mount_id = f"mount:{q}:{i}"
-        if move == "H":
-            pre[mount_id] = head_reading_formula(q, i)
-            destination = f"cell:h:{q}:{i}"
-        elif move == "L":
-            pre[mount_id] = left_of_head_reading_formula(q, i)
-            destination = f"cell:l:{q}:{i}"
-        else:
-            pre[mount_id] = right_of_head_reading_formula(q, i)
-            destination = f"cell:r:{q}:{i}"
-        roles[mount_id] = ActionRole("mount", f"{q}:{i}")
+        destination = f"cell:{move.lower()}:{q}:{i}"
+        pre[mount_id] = pre[destination]
         pairs[state_agent(target)].append((destination, mount_id))
 
     # boundary growth
@@ -385,7 +360,6 @@ def compile_program(spec: MachineSpec, growth_mode: str = "repaired") -> Compile
         pairs[TAPE_A].append(("grow:R1", "grow:R2"))
         pairs[TAPE_A].append(("cell:L", "grow:L1"))
         pairs[TAPE_B].append(("grow:L1", "grow:L2"))
-        grow_details = ("R1", "R2", "L1", "L2")
     else:
         pre["grow:R"] = rightmost_formula()
         pre["grow:PR"] = penultimate_right_formula()
@@ -393,29 +367,21 @@ def compile_program(spec: MachineSpec, growth_mode: str = "repaired") -> Compile
         pre["grow:PL"] = penultimate_left_formula()
         pairs[TAPE_A] += [("grow:PR", "grow:R"), ("cell:L", "grow:PL")]
         pairs[TAPE_B] += [("cell:R", "grow:PR"), ("grow:PL", "grow:L")]
-        grow_details = ("R", "PR", "L", "PL")
-    for detail in grow_details:
-        roles[f"grow:{detail}"] = ActionRole("grow", detail)
 
     program = build_program(pre.keys(), pairs, pre, post, designated)
-    return CompiledProgram(program, roles, growth_mode, spec.name)
+    return CompiledProgram(program, growth_mode, spec.name)
 
 
 def export_compiled(compiled: CompiledProgram) -> str:
-    from .action import export_program
-
     meta = {"growth_mode": compiled.growth_mode, "machine": compiled.machine}
     return export_program(compiled.program, roles=compiled.roles, meta=meta)
 
 
 def import_compiled(text: str) -> CompiledProgram:
-    from .action import import_program
-
+    """Inverse of ``export_compiled``. Role tags may be left out; a tag
+    that disagrees with its action id is refused."""
     program, extras = import_program(text)
-    roles = {
-        action: ActionRole(entry["family"], entry.get("detail", ""))
-        for action, entry in extras.get("roles", {}).items()
-    }
-    if set(roles) != set(program.actions):
-        raise ValueError("compiled program document must tag every action")
-    return CompiledProgram(program, roles, extras["growth_mode"], extras["machine"])
+    for action, tag in extras["roles"].items():
+        if ActionRole(tag.get("family"), tag.get("detail", "")) != ActionRole.of(action):
+            raise ValueError(f"role tag {tag} of action {action!r} disagrees with its id")
+    return CompiledProgram(program, extras["growth_mode"], extras["machine"])

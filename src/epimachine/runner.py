@@ -144,40 +144,29 @@ def emulate(
     states = tuple(spec.states)
 
     model = encode(initial, states, padding).model
-    decoded = decode(model, states)
     oracle_state: object = initial
-    entries = [
-        StepEntry(
-            0,
-            decoded,
-            oracle_state,
-            tuple(applicable_designated(model, program)),
-            model_stats(model),
-            _entries_match(decoded, oracle_state),
-            model,
-        )
-    ]
+    entries: list[StepEntry] = []
     stop_reason = "step-cap"
     error = None
 
-    for index in range(1, max_steps + 1):
-        try:
-            updated = product_update(model, program)
-        except DeterminismViolation as exc:
-            stop_reason = "determinism-violation"
-            error = str(exc)
-            break
-        if updated is None:
-            stop_reason = "undefined-update"
-            error = "no designated action applicable at the point"
-            break
-        model = flatten_ids(updated, model)
+    # step 0 records the encoded start model; each later step first updates
+    for index in range(max_steps + 1):
+        if index:
+            try:
+                updated = product_update(model, program)
+            except DeterminismViolation as exc:
+                stop_reason = "determinism-violation"
+                error = str(exc)
+                break
+            if updated is None:
+                stop_reason = "undefined-update"
+                error = "no designated action applicable at the point"
+                break
+            model = flatten_ids(updated, model)
+            if oracle_state is not HALTED:
+                oracle_state = step(spec, oracle_state)
         decoded = decode(model, states)
-
-        if oracle_state is not HALTED:
-            oracle_state = step(spec, oracle_state)
-
-        if reencode and isinstance(decoded, FiniteConfiguration):
+        if index and reencode and isinstance(decoded, FiniteConfiguration):
             model = encode(normalize(decoded), states, padding).model
 
         entries.append(

@@ -4,6 +4,7 @@ import pytest
 
 from epimachine.machine import (
     HALTED,
+    MAX_SPAN,
     FiniteConfiguration,
     MachineFormatError,
     MachineSpec,
@@ -49,6 +50,19 @@ def test_parse_head_outside_input_extends_window():
     _, initial = parse_machine("machine m\nstates s\nstart s\ninput 1\nhead -2\n")
     assert initial.window == (-2, 0)
     assert initial.tape == (0, 0, 1)
+
+
+@pytest.mark.parametrize("head", [MAX_SPAN + 1, -MAX_SPAN - 1, 10**8])
+def test_parse_far_head_with_input_refused_before_the_window(head):
+    text = f"machine m\nstates s\nstart s\ninput 1\nhead {head}\n"
+    with pytest.raises(MachineFormatError, match=f"line 5: head {head} lies more than") as info:
+        parse_machine(text)
+    assert info.value.line == 5
+
+
+def test_parse_head_at_the_span_limit_with_input():
+    _, initial = parse_machine(f"machine m\nstates s\nstart s\ninput 1\nhead {MAX_SPAN}\n")
+    assert initial.window == (0, MAX_SPAN)
 
 
 def test_parse_comments_and_blank_lines():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from epimachine.codec import encode
@@ -19,15 +21,18 @@ from epimachine.logic import (
 )
 from epimachine.machine import FiniteConfiguration
 from epimachine.program import (
+    ActionRole,
     PreconditionKind,
     all_kinds,
     cell_action_ids,
     cell_formula,
     compile_program,
     digit_formula,
+    export_compiled,
     far_from_head_formula,
     head_formula,
     head_reading_formula,
+    import_compiled,
     interior_far_formula,
     left_of_head_formula,
     left_of_head_reading_formula,
@@ -301,3 +306,70 @@ def test_uncached_wrappers_return_interned_nodes():
     assert disj(P, cell_formula()) is disj(P, cell_formula())
     assert conj(P, box(TAPE_B, P), P) is conj(P, box(TAPE_B, P), P)
     assert parse_formula("<a>~p") is cell_formula().right
+
+
+@pytest.mark.parametrize("mode", ["repaired", "faithful"])
+@pytest.mark.parametrize("name", ["flip", "increment", "bb2", "bb3", "march", "bb4"])
+def test_compiled_round_trip_and_roles_read_from_ids(name, mode):
+    spec, _ = load(name)
+    compiled = compile_program(spec, mode)
+    text = export_compiled(compiled)
+    assert export_compiled(import_compiled(text)) == text
+    for action in compiled.program.actions:
+        assert compiled.roles[action] == ActionRole.of(action)
+    tags = {entry["id"]: entry["role"] for entry in json.loads(text)["actions"]}
+    assert tags == {a: {"family": r.family, "detail": r.detail} for a, r in compiled.roles.items()}
+
+
+def test_role_of_splits_the_id_at_its_first_colon():
+    assert ActionRole.of("cell:h:q0:1") == ActionRole("cell", "h:q0:1")
+    assert ActionRole.of("grow:R1") == ActionRole("grow", "R1")
+    assert ActionRole.of("copy") == ActionRole("copy", "")
+
+
+def test_import_compiled_without_role_tags(flip_machine):
+    spec, _ = flip_machine
+    compiled = compile_program(spec)
+    doc = json.loads(export_compiled(compiled))
+    for entry in doc["actions"]:
+        del entry["role"]
+    back = import_compiled(json.dumps(doc))
+    assert back.program == compiled.program
+    assert back.roles == compiled.roles
+
+
+@pytest.mark.parametrize(
+    "action, tag",
+    [
+        ("write:q0:1", {"family": "mount", "detail": "q0:1"}),
+        ("cell:h:q0:1", {"family": "cell", "detail": "h:q0:0"}),
+        ("copy", {"family": "copy", "detail": "x"}),
+        ("grow:R1", {"detail": "R1"}),
+    ],
+)
+def test_import_compiled_refuses_a_role_tag_that_contradicts_its_id(flip_machine, action, tag):
+    spec, _ = flip_machine
+    doc = json.loads(export_compiled(compile_program(spec)))
+    (entry,) = [e for e in doc["actions"] if e["id"] == action]
+    entry["role"] = tag
+    with pytest.raises(ValueError, match=f"action {action!r} disagrees with its id"):
+        import_compiled(json.dumps(doc))
+
+
+def test_precondition_calls_the_builder_of_its_kind():
+    states = ("q0", "q1")
+    cases = [
+        (PreconditionKind("far"), far_from_head_formula(states)),
+        (PreconditionKind("interior"), interior_far_formula(states)),
+        (PreconditionKind("digit", digit=1), digit_formula(1)),
+        (PreconditionKind("head", state="q1"), head_formula("q1")),
+        (PreconditionKind("right-of", state="q0"), right_of_head_formula("q0")),
+        (
+            PreconditionKind("left-of-reading", state="q1", digit=0),
+            left_of_head_reading_formula("q1", 0),
+        ),
+    ]
+    for kind, formula in cases:
+        assert precondition(kind, states) is formula
+    with pytest.raises(ValueError, match="unknown precondition kind"):
+        PreconditionKind("nowhere")

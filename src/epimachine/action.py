@@ -133,18 +133,46 @@ def product_update(
         raise DeterminismViolation(model.point, chosen)
 
     ev = Evaluator.of(model)
-    new_worlds = [(w, a) for a in program.actions for w in ev.sat_set(program.pre[a])]
+    children: dict = {}  # parent world -> the actions whose precondition it satisfies
+    for action in program.actions:
+        for world in ev.sat_set(program.pre[action]):
+            if world in children:
+                children[world].append(action)
+            else:
+                children[world] = [action]
+    new_worlds = [(w, a) for w, actions in children.items() for a in actions]
     universe = frozenset(new_worlds)
+    branching = [(w, actions) for w, actions in children.items() if len(actions) > 1]
 
+    # (w,a) ~i (v,b) iff w ~i v and a ~i b, so two product worlds share a
+    # class of two or more only if their parents share a block, or they are
+    # children of one parent by two actions of one program block.
     relations = {}
     for agent in model.agents:
-        model_index = model.relations[agent].index
-        program_index = program.relations[agent].index
+        model_relation = model.relations[agent]
+        model_index = model_relation.index
+        action_block = program.relations[agent].index.get
+        # keyed by (model block, program block or lone action); block
+        # positions are ints and action ids strings, so the keys never clash
         groups: dict = {}
-        for world in new_worlds:
-            key = (model_index[world[0]], program_index[world[1]])
-            groups.setdefault(key, []).append(world)
-        relations[agent] = EquivRelation(universe, groups.values())
+        for i, block in enumerate(model_relation.blocks()):
+            for parent in block:
+                for action in children.get(parent, ()):
+                    key = (i, action_block(action, action))
+                    if key in groups:
+                        groups[key].append((parent, action))
+                    else:
+                        groups[key] = [(parent, action)]
+        blocks = [group for group in groups.values() if len(group) > 1]
+        for parent, actions in branching:
+            if parent not in model_index:
+                siblings: dict = {}
+                for action in actions:
+                    j = action_block(action)
+                    if j is not None:
+                        siblings.setdefault(j, []).append((parent, action))
+                blocks += [group for group in siblings.values() if len(group) > 1]
+        relations[agent] = EquivRelation.from_blocks(universe, blocks)
 
     valuation = frozenset(
         (parent, action)

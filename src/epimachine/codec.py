@@ -6,7 +6,7 @@ on both sides), one detached symbol world per 1-cell, and one head world
 attached through the relation of the current state. The atom p holds
 exactly at even absolute positions, which is what makes the cell chain
 walkable and the end cells recognizable. Every relation of an encoding
-pairs disjoint worlds, so the encoder writes its classes down directly, and
+pairs disjoint worlds, so the encoder writes its blocks down directly, and
 it refuses a cell span above ``MAX_SPAN`` before building anything.
 
 Decoding works on the connected component of the designated world and
@@ -102,13 +102,8 @@ def _build_tape_model(
     if head % 2 == 0:
         valuation.add(head_world)
 
-    # Each relation's generator pairs are disjoint, so they are its classes
-    # of two; every other world is alone in its class.
-    relations = {}
-    for agent, agent_pairs in pairs.items():
-        paired = {w for pair in agent_pairs for w in pair}
-        singletons = zip(worlds - paired)
-        relations[agent] = EquivRelation(worlds, [*agent_pairs, *singletons])
+    # Each relation's generator pairs are disjoint, so they are its blocks.
+    relations = {agent: EquivRelation.from_blocks(worlds, ps) for agent, ps in pairs.items()}
     model = PointedKripkeModel(worlds, relations, valuation, cells[0])
     return model, cells, symbols, head_world
 

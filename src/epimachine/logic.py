@@ -4,11 +4,14 @@ set-at-a-time model checker.
 The language has one propositional atom ``p`` and one box operator per
 relation index. Disjunction and the diamond are derived operators, not AST
 nodes; nodes are interned, so equal formulas are one object. Relations are
-equivalence relations, stored as their classes, in no particular order,
-with an index from each element to its class; a build checks the partition
-in one pass over that index, and a one-to-one rename maps both without a
-rebuild. The checker numbers a model's worlds once and keeps satisfaction
-sets as integer bitmasks.
+equivalence relations stored as their blocks only, the classes of two or
+more members, in no particular order, with an index from each block member
+to its block; every other member is alone in its class and costs nothing,
+so the work on a relation follows the worlds it links, not its universe.
+The public constructor checks a full partition in one pass; partitions the
+package builds itself skip the check, and a one-to-one rename maps the
+blocks without a rebuild. The checker numbers a model's worlds once and
+keeps satisfaction sets as integer bitmasks.
 """
 
 from __future__ import annotations
@@ -281,25 +284,48 @@ def format_formula(formula: Formula) -> str:
 
 
 class EquivRelation:
-    """Equivalence relation on a finite universe: a partition, in build order."""
+    """Equivalence relation on a finite universe, stored as its blocks: the
+    classes of two or more members, in no particular order, with an index
+    from each block member to its block. Any other member of the universe is
+    alone in its class, and nothing is stored for it, so a relation that
+    links few worlds costs little whatever the size of its universe.
 
-    __slots__ = ("_universe", "_classes", "_index")
+    The constructor checks that ``classes`` partition ``universe``;
+    ``from_blocks`` takes the blocks of a partition the package built itself
+    and checks nothing.
+    """
+
+    __slots__ = ("_universe", "_blocks", "_index")
 
     def __init__(self, universe: Iterable, classes: Iterable[Iterable]):
-        self._universe = frozenset(universe)
+        universe = frozenset(universe)
         parts = tuple(filter(None, map(frozenset, classes)))
         index = {x: i for i, cls in enumerate(parts) for x in cls}
         if len(index) != sum(map(len, parts)):
             raise ValueError("classes are not disjoint")
-        if index.keys() != self._universe:
+        if index.keys() != universe:
             raise ValueError("classes do not partition the universe")
-        self._classes = parts
-        self._index = index
+        self._universe = universe
+        self._blocks = tuple(cls for cls in parts if len(cls) > 1)
+        self._index = {x: i for i, block in enumerate(self._blocks) for x in block}
+
+    @classmethod
+    def from_blocks(cls, universe: Iterable, blocks: Iterable[Iterable]) -> "EquivRelation":
+        """The relation whose classes of two or more members are ``blocks``.
+
+        Unchecked: the blocks must be disjoint subsets of ``universe`` with
+        at least two members each.
+        """
+        out = object.__new__(cls)
+        out._universe = frozenset(universe)
+        out._blocks = tuple(map(frozenset, blocks))
+        out._index = {x: i for i, block in enumerate(out._blocks) for x in block}
+        return out
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple], universe: Iterable) -> "EquivRelation":
         universe = frozenset(universe)
-        parent = {w: w for w in universe}
+        parent: dict = {}  # union-find over the pair members only
 
         def find(x):
             root = x
@@ -310,68 +336,78 @@ class EquivRelation:
             return root
 
         for x, y in pairs:
-            if x not in parent or y not in parent:
+            if x not in universe or y not in universe:
                 raise ValueError(f"pair member outside universe: ({x!r}, {y!r})")
+            parent.setdefault(x, x)
+            parent.setdefault(y, y)
             parent[find(x)] = find(y)
         groups: dict = {}
-        for w in universe:
+        for w in parent:
             groups.setdefault(find(w), []).append(w)
-        return cls(universe, groups.values())
+        return cls.from_blocks(universe, [g for g in groups.values() if len(g) > 1])
 
     @property
     def universe(self) -> frozenset:
         return self._universe
 
+    def blocks(self) -> tuple:
+        """The stored classes: those of two or more members."""
+        return self._blocks
+
     def classes(self) -> tuple:
-        return self._classes
+        """The full partition: the blocks, then one singleton class per other
+        member of the universe, built on each call."""
+        index = self._index
+        return self._blocks + tuple(frozenset((x,)) for x in self._universe if x not in index)
 
     @property
     def index(self) -> Mapping:
-        """Each element's position in ``classes()``; read it, do not change it."""
+        """Each block member's position in ``blocks()``; a member of the
+        universe that is not a key is alone in its class. Read it, do not
+        change it."""
         return self._index
 
     def renamed(self, rename: Mapping, universe: frozenset) -> "EquivRelation":
         """The same partition under ``rename``, a one-to-one map of the
-        universe onto ``universe``; a bijection keeps a partition one, so the
-        classes and the index are mapped, not checked again."""
-        out = object.__new__(EquivRelation)
-        out._universe = universe
+        universe onto ``universe``; a bijection keeps a partition one, so
+        only the blocks are mapped, and nothing is checked again."""
         get = rename.__getitem__
-        out._classes = tuple([frozenset(map(get, cls)) for cls in self._classes])
-        out._index = {rename[x]: i for x, i in self._index.items()}
-        return out
+        return EquivRelation.from_blocks(universe, [map(get, block) for block in self._blocks])
 
     def class_of(self, x) -> frozenset:
-        try:
-            return self._classes[self._index[x]]
-        except KeyError:
-            raise ValueError(f"element outside universe: {x!r}") from None
+        i = self._index.get(x)
+        if i is not None:
+            return self._blocks[i]
+        if x in self._universe:
+            return frozenset((x,))
+        raise ValueError(f"element outside universe: {x!r}")
 
     def related(self, x, y) -> bool:
-        return self.class_of(x) is self.class_of(y)
+        return self.class_of(x) == self.class_of(y)
 
     def pairs(self) -> frozenset:
         """Explicit pair set, reflexive pairs included."""
-        out = set()
-        for cls in self._classes:
-            out.update(itertools.product(cls, cls))
+        out = {(x, x) for x in self._universe}
+        for block in self._blocks:
+            out.update(itertools.product(block, block))
         return frozenset(out)
 
     def restricted(self, keep: Iterable) -> "EquivRelation":
         keep = frozenset(keep)
-        classes = [cls & keep for cls in self._classes if cls & keep]
-        return EquivRelation(self._universe & keep, classes)
+        parts = [block & keep for block in self._blocks]
+        return EquivRelation.from_blocks(self._universe & keep, [b for b in parts if len(b) > 1])
 
     def __eq__(self, other):
         if not isinstance(other, EquivRelation):
             return NotImplemented
-        return self._universe == other._universe and set(self._classes) == set(other._classes)
+        return self._universe == other._universe and set(self._blocks) == set(other._blocks)
 
     def __hash__(self):
-        return hash((self._universe, frozenset(self._classes)))
+        return hash((self._universe, frozenset(self._blocks)))
 
     def __repr__(self):
-        return f"EquivRelation({len(self._universe)} elements, {len(self._classes)} classes)"
+        count = len(self._blocks) + len(self._universe) - len(self._index)
+        return f"EquivRelation({len(self._universe)} elements, {count} classes)"
 
 
 def closure(pairs: Iterable[tuple], universe: Iterable) -> EquivRelation:
@@ -525,13 +561,12 @@ class Evaluator:
         if self._component is None:
             links: dict = {}  # world -> its classes of two or more worlds
             for relation in self.model.relations.values():
-                for cls in relation.classes():
-                    if len(cls) > 1:
-                        for world in cls:
-                            if world in links:
-                                links[world].append(cls)
-                            else:
-                                links[world] = [cls]
+                for block in relation.blocks():
+                    for world in block:
+                        if world in links:
+                            links[world].append(block)
+                        else:
+                            links[world] = [block]
             seen = {self.model.point}
             frontier = [self.model.point]
             entered = set()
@@ -573,8 +608,7 @@ class Evaluator:
         blocks = self._blocks.get(agent)
         if blocks is None:
             bit = self._bit
-            classes = self.model.relation(agent).classes()
-            blocks = [sum(map(bit.__getitem__, cls)) for cls in classes if len(cls) > 1]
+            blocks = [sum(map(bit.__getitem__, b)) for b in self.model.relation(agent).blocks()]
             self._blocks[agent] = blocks
         return blocks
 

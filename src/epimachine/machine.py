@@ -243,10 +243,14 @@ def parse_machine(text: str) -> tuple[MachineSpec, FiniteConfiguration]:
         elif key == "start":
             if len(tokens) != 2:
                 fail("expected: start <state>", lineno)
+            if start is not None:
+                fail("duplicate start line", lineno)
             start = tokens[1]
         elif key == "halt":
             if len(tokens) != 2:
                 fail("expected: halt <state>", lineno)
+            if halt is not None:
+                fail("duplicate halt line", lineno)
             halt = tokens[1]
         elif key == "trans":
             if len(tokens) != 7 or tokens[3] != "->":
@@ -276,6 +280,8 @@ def parse_machine(text: str) -> tuple[MachineSpec, FiniteConfiguration]:
         elif key == "head":
             if len(tokens) != 2:
                 fail("expected: head <integer>", lineno)
+            if head is not None:
+                fail("duplicate head line", lineno)
             try:
                 head = int(tokens[1])
             except ValueError:

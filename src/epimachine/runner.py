@@ -103,14 +103,22 @@ def _entries_match(decoded, oracle) -> bool:
     return False
 
 
+def pair_sort_key(world):
+    """``world_sort_key``'s order for a pair of plain names, without its
+    recursion: the pair's parent as text, then its action id."""
+    return (str(world[0]), world[1])
+
+
 def flatten_ids(updated: PointedKripkeModel, previous: PointedKripkeModel) -> PointedKripkeModel:
     """``updated``, the product update of ``previous``, with each world
     ``(parent, action)`` whose parent is a pair renamed ``(k, action)``, k the
     parent's index in ``sorted_worlds(previous.worlds)``. Left as it is when
-    ``previous`` is an encoded model, whose worlds are names, not pairs."""
+    ``previous`` is an encoded model, whose worlds are names, not pairs.
+    Only the relations' blocks are renamed."""
     if not isinstance(previous.point, tuple):
         return updated
-    index = {w: k for k, w in enumerate(sorted_worlds(previous.worlds))}
+    # every previous world is a (name, action) or (k, action) pair
+    index = {w: k for k, w in enumerate(sorted(previous.worlds, key=pair_sort_key))}
     rename = {w: (index[w[0]], w[1]) for w in updated.worlds}
     worlds = frozenset(rename.values())
     relations = {agent: rel.renamed(rename, worlds) for agent, rel in updated.relations.items()}
@@ -244,7 +252,7 @@ def export_dot(model: PointedKripkeModel) -> str:
             attrs.append("peripheries=2")
         lines.append(f"  {_quote(world_label(world))} [{', '.join(attrs)}];")
     for agent in sorted(model.relations, key=lambda a: a.token):
-        for cls in sorted(model.relations[agent].classes(), key=lambda c: min(map(rank.get, c))):
+        for cls in sorted(model.relations[agent].blocks(), key=lambda c: min(map(rank.get, c))):
             members = sorted(cls, key=rank.get)
             for i, left in enumerate(members):
                 for right in members[i + 1 :]:

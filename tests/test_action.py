@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epimachine.action import (
     DeterminismViolation,
@@ -23,7 +25,7 @@ from epimachine.logic import (
 )
 from epimachine.program import compile_program, export_compiled, import_compiled
 
-from helpers import load
+from helpers import brute_sat_set, load, random_partition_model
 
 AGENTS = (TAPE_A, TAPE_B)
 
@@ -243,3 +245,52 @@ def test_updated_relations_stay_equivalences_for_compiled_programs():
     for _ in range(3):
         model = product_update(model, compiled.program)
         assert s5_defect(model) is None
+
+
+def _random_partition_program(rng):
+    """A program whose relations mix lone actions with classes of 2-4
+    actions, with random preconditions and postconditions."""
+    actions = [f"act{i}" for i in range(rng.randint(1, 7))]
+    pairs = {}
+    for agent in AGENTS:
+        rest = rng.sample(actions, len(actions))
+        pairs[agent] = []
+        while rest:
+            size = rng.choice((1, 2, 3, 4))
+            pairs[agent] += zip(rest[: size - 1], rest[1:size])
+            del rest[:size]
+    formulas = [TOP, TOP, P, neg(P), box(TAPE_A, P), neg(box(TAPE_B, neg(P)))]
+    pre = {a: rng.choice(formulas) for a in actions}
+    pre["act0"] = TOP  # keep the update defined
+    post = {a: rng.random() < 0.5 for a in actions if rng.random() < 0.5}
+    return build_program(actions, pairs, pre, post, ("act0",))
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3))
+@settings(max_examples=200)
+def test_product_update_matches_the_pairwise_definition(rng, fragments):
+    """Models of 1-3 disconnected parts whose classes mix singletons and
+    blocks, so product worlds are related both through parent blocks and as
+    siblings under one parent that is alone in its class."""
+    model = random_partition_model(rng, AGENTS, fragments)
+    program = _random_partition_program(rng)
+    updated = product_update(model, program)
+    expected_worlds = {
+        (w, a) for a in program.actions for w in brute_sat_set(model, program.pre[a])
+    }
+    assert updated.worlds == expected_worlds
+    for agent in AGENTS:
+        expected_pairs = {
+            (x, y)
+            for x in expected_worlds
+            for y in expected_worlds
+            if model.relations[agent].related(x[0], y[0])
+            and program.relations[agent].related(x[1], y[1])
+        }
+        assert updated.relations[agent].pairs() == expected_pairs
+        assert all(len(block) > 1 for block in updated.relations[agent].blocks())
+    assert updated.valuation == {
+        (w, a) for (w, a) in expected_worlds if program.post.get(a, w in model.valuation)
+    }
+    assert updated.point == (model.point, "act0")
+    assert s5_defect(updated) is None

@@ -325,3 +325,36 @@ def test_bitmask_checker_matches_bruteforce(rng, formulas):
         for world in model.worlds:
             assert ev.check(world, formula) == (world in expected)
             assert eval_formula(model, world, formula) == (world in expected)
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 12))
+@settings(max_examples=200)
+def test_partition_with_and_without_singletons_agree(rng, size):
+    """Only blocks, the classes of two or more, are stored: a partition
+    given in full and one given as its blocks alone are the same relation."""
+    universe = [f"w{i}" for i in range(size)]
+    rest = rng.sample(universe, size)
+    classes = []
+    while rest:
+        cut = rng.choice((1, 1, 2, 3, 4))
+        classes.append(frozenset(rest[:cut]))
+        del rest[:cut]
+    blocks = [cls for cls in classes if len(cls) > 1]
+    full = EquivRelation(universe, rng.sample(classes, len(classes)))
+    sparse = EquivRelation.from_blocks(universe, blocks)
+    assert set(full.blocks()) == set(sparse.blocks()) == set(blocks)
+    assert len(full.classes()) == len(sparse.classes()) == len(classes)
+    assert set(full.classes()) == set(sparse.classes()) == set(classes)
+    assert full.pairs() == sparse.pairs()
+    for w in universe:
+        assert full.class_of(w) == sparse.class_of(w)
+        assert (w in sparse.index) == (len(sparse.class_of(w)) > 1)
+    keep = rng.sample(universe, rng.randint(0, size))
+    assert full.restricted(keep) == sparse.restricted(keep)
+    assert set(full.restricted(keep).classes()) == {cls & set(keep) for cls in classes} - {frozenset()}
+    assert all(len(block) > 1 for block in sparse.restricted(keep).blocks())
+    with pytest.raises(ValueError, match="element outside universe"):
+        sparse.class_of("outside")
+    assert full == sparse
+    assert hash(full) == hash(sparse)
+    assert repr(full) == repr(sparse) == f"EquivRelation({size} elements, {len(classes)} classes)"

@@ -104,6 +104,21 @@ def test_parse_rejects_malformed_text(text):
         parse_machine(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "machine m\nstates s t\nstart s\nstart t\n",
+        "machine m\nstates s t\nstart s\nhalt t\nhalt s\n",
+        "machine m\nstates s\nstart s\nhead 1\nhead 2\n",
+    ],
+)
+def test_parse_refuses_repeated_directives(text):
+    directive = text.splitlines()[-1].split()[0]
+    line = len(text.splitlines())
+    with pytest.raises(MachineFormatError, match=f"line {line}: duplicate {directive} line"):
+        parse_machine(text)
+
+
 def test_step_flip_transitions():
     spec, _ = parse_machine(FLIP_TEXT)
     on_zero = step(spec, FiniteConfiguration((0, 2), (0, 0, 0), 1, "q"))

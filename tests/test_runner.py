@@ -6,6 +6,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epimachine
 from epimachine import runner
@@ -18,6 +20,7 @@ from epimachine.logic import (
     PointedKripkeModel,
     make_model,
     sorted_worlds,
+    world_sort_key,
 )
 from epimachine.machine import HALTED, FiniteConfiguration, parse_machine, run_oracle, step
 from epimachine.program import compile_program
@@ -416,3 +419,40 @@ def test_verify_stops_at_once_on_a_far_head(tmp_path, capsys):
     assert main(["verify", str(far)]) == 2
     assert time.perf_counter() - started < 5
     assert "cell span 100000007 exceeds" in capsys.readouterr().err
+
+
+_parent_names = st.one_of(
+    st.integers(0, 40),
+    st.builds(lambda kind, j: f"{kind}[{j}]", st.sampled_from("csh"), st.integers(-12, 12)),
+)
+
+
+@given(st.lists(st.tuples(_parent_names, st.sampled_from(("cell:mid", "cell:L", "copy", "grow:R1")))))
+@settings(max_examples=200)
+def test_pair_sort_key_orders_pairs_like_world_sort_key(worlds):
+    """Parents are step indices on both sides of 10 (so text order and
+    number order differ) or encoder names."""
+    assert sorted(worlds, key=runner.pair_sort_key) == sorted(worlds, key=world_sort_key)
+
+
+def _assert_blocks_only(model, label):
+    for agent, relation in model.relations.items():
+        assert all(len(block) > 1 for block in relation.blocks()), (label, agent)
+        classes = relation.classes()
+        assert sum(map(len, classes)) == len(model.worlds), (label, agent)
+        assert frozenset().union(*classes) == model.worlds, (label, agent)
+        assert set(classes) == set(relation.blocks()) | {
+            frozenset((w,)) for w in model.worlds if w not in relation.index
+        }, (label, agent)
+        assert EquivRelation(model.worlds, classes) == relation, (label, agent)
+
+
+def test_no_relation_stores_a_class_of_one_world():
+    for path in sorted(MACHINE_DIR.glob("*.tm")):
+        spec, initial = load(path.stem)
+        _assert_blocks_only(encode(initial, spec.states).model, path.stem)
+    spec, initial = load("bb4")
+    trace = emulate(spec, initial, 30)
+    assert len(trace.entries) == 31
+    for entry in trace.entries:
+        _assert_blocks_only(entry.model, entry.index)

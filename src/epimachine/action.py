@@ -116,13 +116,14 @@ def applicable_designated(
 
 
 def product_update(
-    model: PointedKripkeModel, program: EpistemicProgram
+    model: PointedKripkeModel, program: EpistemicProgram, names: Mapping | None = None
 ) -> PointedKripkeModel | None:
     """Product update of a pointed model with a program.
 
     Returns None when no designated action applies at the point (the update
-    is undefined) and raises DeterminismViolation when several do. New
-    worlds are (parent world, action id) pairs, so lineage stays inspectable.
+    is undefined) and raises DeterminismViolation when several do. The child
+    of world w by action a is (w, a), so lineage stays inspectable, or
+    (names[w], a) when ``names``, a one-to-one map of the worlds, is given.
     """
     if model.agents != program.agents:
         raise ValueError("model and program use different agent universes")
@@ -133,16 +134,16 @@ def product_update(
         raise DeterminismViolation(model.point, chosen)
 
     ev = Evaluator.of(model)
-    children: dict = {}  # parent world -> the actions whose precondition it satisfies
+    children: dict = {}  # parent world -> (action, child) per precondition it satisfies
     for action in program.actions:
-        for world in ev.sat_set(program.pre[action]):
-            if world in children:
-                children[world].append(action)
+        for parent in ev.sat_set(program.pre[action]):
+            child = (action, (parent if names is None else names[parent], action))
+            if parent in children:
+                children[parent].append(child)
             else:
-                children[world] = [action]
-    new_worlds = [(w, a) for w, actions in children.items() for a in actions]
-    universe = frozenset(new_worlds)
-    branching = [(w, actions) for w, actions in children.items() if len(actions) > 1]
+                children[parent] = [child]
+    universe = frozenset(world for kids in children.values() for _, world in kids)
+    branching = [(parent, kids) for parent, kids in children.items() if len(kids) > 1]
 
     # (w,a) ~i (v,b) iff w ~i v and a ~i b, so two product worlds share a
     # class of two or more only if their parents share a block, or they are
@@ -157,29 +158,30 @@ def product_update(
         groups: dict = {}
         for i, block in enumerate(model_relation.blocks()):
             for parent in block:
-                for action in children.get(parent, ()):
+                for action, world in children.get(parent, ()):
                     key = (i, action_block(action, action))
                     if key in groups:
-                        groups[key].append((parent, action))
+                        groups[key].append(world)
                     else:
-                        groups[key] = [(parent, action)]
+                        groups[key] = [world]
         blocks = [group for group in groups.values() if len(group) > 1]
-        for parent, actions in branching:
+        for parent, kids in branching:
             if parent not in model_index:
                 siblings: dict = {}
-                for action in actions:
+                for action, world in kids:
                     j = action_block(action)
                     if j is not None:
-                        siblings.setdefault(j, []).append((parent, action))
+                        siblings.setdefault(j, []).append(world)
                 blocks += [group for group in siblings.values() if len(group) > 1]
         relations[agent] = EquivRelation.from_blocks(universe, blocks)
 
     valuation = frozenset(
-        (parent, action)
-        for parent, action in new_worlds
+        world
+        for parent, kids in children.items()
+        for action, world in kids
         if program.post.get(action, parent in model.valuation)
     )
-    point = (model.point, chosen[0])
+    point = dict(children[model.point])[chosen[0]]
     return PointedKripkeModel(universe, relations, valuation, point)
 
 

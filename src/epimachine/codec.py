@@ -176,17 +176,21 @@ def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
         )
 
     # Walk the chain left to right. From a p-cell the right neighbor is its
-    # a-partner, from a non-p-cell its b-partner; both classes must have
-    # exactly two members along the way.
+    # a-partner, from a non-p-cell its b-partner; both must be the other
+    # member of a block of exactly two along the way.
+    tape_a, tape_b = model.relations[TAPE_A], model.relations[TAPE_B]
+    tape = {True: (tape_a.index.get, tape_a.blocks()), False: (tape_b.index.get, tape_b.blocks())}
     chain = [left_ends[0]]
     visited = {left_ends[0]}
     current = left_ends[0]
     while current != right_ends[0]:
-        relation = TAPE_A if current in model.valuation else TAPE_B
-        partners = model.relations[relation].class_of(current) - {current}
-        if len(partners) != 1:
+        find, blocks = tape[current in model.valuation]
+        i = find(current)
+        block = () if i is None else blocks[i]
+        if len(block) != 2:
             return Malformed(f"alternation violated at {world_label(current)}")
-        nxt = next(iter(partners))
+        first, second = block
+        nxt = second if first == current else first
         if nxt not in cells:
             return Malformed(f"tape relation leaves the cells at {world_label(current)}")
         if nxt in visited:

@@ -9,9 +9,9 @@ more members, in no particular order, with an index from each block member
 to its block; every other member is alone in its class and costs nothing,
 so the work on a relation follows the worlds it links, not its universe.
 The public constructor checks a full partition in one pass; partitions the
-package builds itself skip the check, and a one-to-one rename maps the
-blocks without a rebuild. The checker numbers a model's worlds once and
-keeps satisfaction sets as integer bitmasks.
+package builds itself skip the check. Relation indices are interned like
+formula nodes, so an index hashes by identity. The checker numbers a
+model's worlds once and keeps satisfaction sets as integer bitmasks.
 """
 
 from __future__ import annotations
@@ -48,21 +48,40 @@ def world_label(world) -> str:
 _RESERVED_KINDS = ("a", "b", "1")
 
 
-@dataclass(frozen=True, order=True)
+_AGENTS = weakref.WeakValueDictionary()  # (kind, state) -> the one agent
+
+
+@dataclass(frozen=True, order=True, init=False)
 class Agent:
     """Relation index: one of the two tape-structure indices ``a``/``b``, the
-    symbol index ``1``, or one index per machine state."""
+    symbol index ``1``, or one index per machine state.
+
+    Interned on (kind, state), so equal agents are one object and hash by
+    identity; copies and unpickled agents are the interned one too.
+    """
 
     kind: str
     state: str = ""
 
-    def __post_init__(self):
-        if self.kind not in ("a", "b", "1", "q"):
-            raise ValueError(f"unknown agent kind {self.kind!r}")
-        if self.kind == "q" and not self.state:
-            raise ValueError("state agent requires a state name")
-        if self.kind != "q" and self.state:
-            raise ValueError(f"agent {self.kind!r} does not carry a state name")
+    __hash__ = object.__hash__
+
+    def __new__(cls, kind: str, state: str = ""):
+        agent = _AGENTS.get((kind, state))
+        if agent is None:
+            if kind not in ("a", "b", "1", "q"):
+                raise ValueError(f"unknown agent kind {kind!r}")
+            if kind == "q" and not state:
+                raise ValueError("state agent requires a state name")
+            if kind != "q" and state:
+                raise ValueError(f"agent {kind!r} does not carry a state name")
+            agent = object.__new__(cls)
+            object.__setattr__(agent, "kind", kind)
+            object.__setattr__(agent, "state", state)
+            _AGENTS[kind, state] = agent
+        return agent
+
+    def __reduce__(self):
+        return Agent, (self.kind, self.state)
 
     @property
     def token(self) -> str:
@@ -366,13 +385,6 @@ class EquivRelation:
         universe that is not a key is alone in its class. Read it, do not
         change it."""
         return self._index
-
-    def renamed(self, rename: Mapping, universe: frozenset) -> "EquivRelation":
-        """The same partition under ``rename``, a one-to-one map of the
-        universe onto ``universe``; a bijection keeps a partition one, so
-        only the blocks are mapped, and nothing is checked again."""
-        get = rename.__getitem__
-        return EquivRelation.from_blocks(universe, [map(get, block) for block in self._blocks])
 
     def class_of(self, x) -> frozenset:
         i = self._index.get(x)

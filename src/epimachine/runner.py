@@ -6,12 +6,12 @@ compiled program. Each step is decoded and compared against the direct
 simulator; the trace records both sides together with model statistics so
 divergences are data, not surprises.
 
-Product worlds are ``(parent, action)`` pairs. From step 2 on the loop renames
-each one ``(k, action)``, with k the index of the parent among the previous
-step's sorted worlds (its position among that step's DOT nodes), so ids stay
-one pair deep however long the run. Step-1 and re-encoded parents are encoder
-names and stay as they are. The rename is one-to-one, so it maps the
-relations the update built rather than building them again.
+Product worlds are ``(parent, action)`` pairs. From step 2 on the loop passes
+the update a name for each parent: its index k among the step's sorted
+worlds (its position among that step's DOT nodes). The update then builds
+the child ``(k, action)`` directly, so ids stay one pair deep however long
+the run and no model is renamed afterwards. Step-1 and re-encoded parents
+are encoder names and stay as they are.
 """
 
 from __future__ import annotations
@@ -109,23 +109,6 @@ def pair_sort_key(world):
     return (str(world[0]), world[1])
 
 
-def flatten_ids(updated: PointedKripkeModel, previous: PointedKripkeModel) -> PointedKripkeModel:
-    """``updated``, the product update of ``previous``, with each world
-    ``(parent, action)`` whose parent is a pair renamed ``(k, action)``, k the
-    parent's index in ``sorted_worlds(previous.worlds)``. Left as it is when
-    ``previous`` is an encoded model, whose worlds are names, not pairs.
-    Only the relations' blocks are renamed."""
-    if not isinstance(previous.point, tuple):
-        return updated
-    # every previous world is a (name, action) or (k, action) pair
-    index = {w: k for k, w in enumerate(sorted(previous.worlds, key=pair_sort_key))}
-    rename = {w: (index[w[0]], w[1]) for w in updated.worlds}
-    worlds = frozenset(rename.values())
-    relations = {agent: rel.renamed(rename, worlds) for agent, rel in updated.relations.items()}
-    valuation = frozenset(rename[w] for w in updated.valuation)
-    return PointedKripkeModel(worlds, relations, valuation, rename[updated.point])
-
-
 def emulate(
     spec: MachineSpec,
     initial: FiniteConfiguration,
@@ -160,8 +143,12 @@ def emulate(
     # step 0 records the encoded start model; each later step first updates
     for index in range(max_steps + 1):
         if index:
+            names = None
+            if isinstance(model.point, tuple):
+                # every world is a (name, action) or (k, action) pair
+                names = {w: k for k, w in enumerate(sorted(model.worlds, key=pair_sort_key))}
             try:
-                updated = product_update(model, program)
+                updated = product_update(model, program, names)
             except DeterminismViolation as exc:
                 stop_reason = "determinism-violation"
                 error = str(exc)
@@ -170,7 +157,7 @@ def emulate(
                 stop_reason = "undefined-update"
                 error = "no designated action applicable at the point"
                 break
-            model = flatten_ids(updated, model)
+            model = updated
             if oracle_state is not HALTED:
                 oracle_state = step(spec, oracle_state)
         decoded = decode(model, states)
@@ -245,21 +232,20 @@ def export_dot(model: PointedKripkeModel) -> str:
     in ``sorted_worlds`` order here, whatever order the relations keep."""
     lines = ["graph model {", "  node [shape=circle];"]
     rank = {world: k for k, world in enumerate(sorted_worlds(model.worlds))}
-    for world in rank:
+    node = {world: _quote(world_label(world)) for world in rank}
+    for world, name in node.items():
         label = world_label(world) + (" p" if world in model.valuation else " ¬p")
         attrs = [f"label={_quote(label)}"]
         if world == model.point:
             attrs.append("peripheries=2")
-        lines.append(f"  {_quote(world_label(world))} [{', '.join(attrs)}];")
+        lines.append(f"  {name} [{', '.join(attrs)}];")
     for agent in sorted(model.relations, key=lambda a: a.token):
+        suffix = f" [label={_quote(agent.token)}];"
         for cls in sorted(model.relations[agent].blocks(), key=lambda c: min(map(rank.get, c))):
-            members = sorted(cls, key=rank.get)
+            members = [node[world] for world in sorted(cls, key=rank.get)]
             for i, left in enumerate(members):
                 for right in members[i + 1 :]:
-                    lines.append(
-                        f"  {_quote(world_label(left))} -- {_quote(world_label(right))}"
-                        f" [label={_quote(agent.token)}];"
-                    )
+                    lines.append(f"  {left} -- {right}{suffix}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

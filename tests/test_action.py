@@ -294,3 +294,42 @@ def test_product_update_matches_the_pairwise_definition(rng, fragments):
     }
     assert updated.point == (model.point, "act0")
     assert s5_defect(updated) is None
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3))
+@settings(max_examples=200)
+def test_named_update_is_the_pair_update_renamed(rng, fragments):
+    """With ``names`` the child of w by a is (names[w], a) and nothing else
+    changes: not the relations, valuation or point, nor an undefined or
+    nondeterministic update."""
+    model = random_partition_model(rng, AGENTS, fragments)
+    program = _random_partition_program(rng)
+    if rng.random() < 0.5:  # designated sets that may apply nowhere or twice
+        designated = rng.sample(program.actions, rng.randint(1, len(program.actions)))
+        program = build_program(
+            program.actions, program.relation_pairs, program.pre, program.post, designated
+        )
+    worlds = sorted(model.worlds)
+    names = dict(zip(worlds, rng.sample(range(len(worlds)), len(worlds))))  # shuffled ints
+    try:
+        expected = product_update(model, program)
+    except DeterminismViolation as exc:
+        with pytest.raises(DeterminismViolation) as caught:
+            product_update(model, program, names)
+        assert (caught.value.point, caught.value.actions) == (exc.point, exc.actions)
+        return
+    named = product_update(model, program, names)
+    if expected is None:
+        assert named is None
+        return
+
+    def rename(world):
+        return (names[world[0]], world[1])
+
+    assert named.worlds == set(map(rename, expected.worlds))
+    for agent in AGENTS:
+        assert set(named.relations[agent].classes()) == {
+            frozenset(map(rename, cls)) for cls in expected.relations[agent].classes()
+        }
+    assert named.valuation == set(map(rename, expected.valuation))
+    assert named.point == rename(expected.point)

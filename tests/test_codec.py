@@ -207,6 +207,43 @@ def test_decode_oversized_tape_class_is_malformed(flip_machine, flip_encoded):
     assert not ok and "alternation" in reason
 
 
+def test_decode_tape_partner_outside_the_cells_is_malformed(flip_machine, flip_encoded):
+    spec, _ = flip_machine
+    enc = flip_encoded
+    # c[1] is a non-p cell, so its right neighbour is its b-partner; make
+    # that the symbol world of cell 2, which is no cell, instead of c[2]
+    pairs = {
+        agent: {(x, y) for (x, y) in rel.pairs() if x != y}
+        for agent, rel in enc.model.relations.items()
+    }
+    pairs[TAPE_B] -= {(enc.cells[1], enc.cells[2]), (enc.cells[2], enc.cells[1])}
+    pairs[TAPE_B].add((enc.cells[1], enc.symbols[2]))
+    broken = make_model(enc.model.worlds, pairs, enc.model.valuation, enc.model.point)
+    result = decode(broken, spec.states)
+    assert result == Malformed("tape relation leaves the cells at c[1]")
+
+
+def test_decode_cells_off_the_chain_are_malformed(flip_machine, flip_encoded):
+    spec, _ = flip_machine
+    enc = flip_encoded
+    # a closed ring of four cells, none of them an end cell, hung on the
+    # chain through the symbol relation: in the component, never walked
+    ring = ["r0", "r1", "r2", "r3"]
+    bigger = _rebuild(
+        enc.model,
+        worlds=enc.model.worlds | set(ring),
+        pairs={
+            TAPE_A: {("r0", "r1"), ("r2", "r3")},
+            TAPE_B: {("r1", "r2"), ("r3", "r0")},
+            SYMBOL: {(enc.cells[5], "r0")},
+        },
+        valuation=enc.model.valuation | {"r0", "r2"},
+    )
+    assert set(ring) <= component_of_point(bigger)
+    result = decode(bigger, spec.states)
+    assert result == Malformed("cells outside the tape chain")
+
+
 def test_decode_two_heads_is_malformed(flip_machine, flip_encoded):
     spec, _ = flip_machine
     enc = flip_encoded

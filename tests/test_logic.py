@@ -278,6 +278,46 @@ def test_agent_tokens():
         Agent.from_token("zz")
 
 
+def test_equal_agents_are_one_object():
+    assert Agent("q", "A") is state_agent("A")
+    assert Agent.from_token("q:A") is state_agent("A")
+    assert Agent("a") is TAPE_A and Agent.from_token("1") is SYMBOL
+    assert hash(state_agent("A")) == object.__hash__(state_agent("A"))
+    assert state_agent("A") == Agent("q", "A") and state_agent("A") != state_agent("B")
+    assert sorted([state_agent("B"), TAPE_B, state_agent("A"), SYMBOL, TAPE_A]) == [
+        SYMBOL,
+        TAPE_A,
+        TAPE_B,
+        state_agent("A"),
+        state_agent("B"),
+    ]
+    assert repr(state_agent("A")) == "Agent('q:A')"
+
+
+def test_copies_of_an_agent_are_the_agent():
+    agent = state_agent("copied")
+    assert copy.copy(agent) is agent
+    assert copy.deepcopy(agent) is agent
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(agent, protocol)) is agent
+    assert pickle.loads(pickle.dumps(Box(agent, P))) is Box(agent, P)
+
+
+@pytest.mark.parametrize(
+    "kind, state, message",
+    [
+        ("z", "", "unknown agent kind 'z'"),
+        ("q", "", "state agent requires a state name"),
+        ("a", "x", "agent 'a' does not carry a state name"),
+    ],
+)
+def test_invalid_agents_are_refused(kind, state, message):
+    with pytest.raises(ValueError, match=message):
+        Agent(kind, state)
+    with pytest.raises(ValueError, match=message):
+        Agent(kind, state)  # a refused agent is not remembered
+
+
 def test_equiv_relation_partition_validation():
     with pytest.raises(ValueError):
         EquivRelation({"x", "y"}, [{"x"}])

@@ -20,6 +20,7 @@ from .logic import (
     Evaluator,
     Formula,
     PointedKripkeModel,
+    closure,
     format_formula,
     parse_formula,
     world_label,
@@ -95,7 +96,7 @@ def build_program(
     for agent, pairs in relation_pairs.items():
         pair_tuple = tuple(sorted(set(tuple(p) for p in pairs)))
         canon_pairs[agent] = pair_tuple
-        relations[agent] = EquivRelation.from_pairs(pair_tuple, action_set)
+        relations[agent] = closure(pair_tuple, action_set)
     return EpistemicProgram(actions, relations, canon_pairs, dict(pre), post, designated)
 
 

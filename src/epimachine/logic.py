@@ -341,30 +341,6 @@ class EquivRelation:
         out._index = {x: i for i, block in enumerate(out._blocks) for x in block}
         return out
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple], universe: Iterable) -> "EquivRelation":
-        universe = frozenset(universe)
-        parent: dict = {}  # union-find over the pair members only
-
-        def find(x):
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        for x, y in pairs:
-            if x not in universe or y not in universe:
-                raise ValueError(f"pair member outside universe: ({x!r}, {y!r})")
-            parent.setdefault(x, x)
-            parent.setdefault(y, y)
-            parent[find(x)] = find(y)
-        groups: dict = {}
-        for w in parent:
-            groups.setdefault(find(w), []).append(w)
-        return cls.from_blocks(universe, [g for g in groups.values() if len(g) > 1])
-
     @property
     def universe(self) -> frozenset:
         return self._universe
@@ -427,7 +403,27 @@ def closure(pairs: Iterable[tuple], universe: Iterable) -> EquivRelation:
 
     Raises ValueError when a pair member is outside the universe.
     """
-    return EquivRelation.from_pairs(pairs, universe)
+    universe = frozenset(universe)
+    parent: dict = {}  # union-find over the pair members only
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for x, y in pairs:
+        if x not in universe or y not in universe:
+            raise ValueError(f"pair member outside universe: ({x!r}, {y!r})")
+        parent.setdefault(x, x)
+        parent.setdefault(y, y)
+        parent[find(x)] = find(y)
+    groups: dict = {}
+    for w in parent:
+        groups.setdefault(find(w), []).append(w)
+    return EquivRelation.from_blocks(universe, [g for g in groups.values() if len(g) > 1])
 
 
 def equivalence_defect(pairs: Iterable[tuple], universe: Iterable) -> str | None:
@@ -483,7 +479,7 @@ class PointedKripkeModel:
         if not self.valuation <= self.worlds:
             raise ValueError("valuation contains non-worlds")
         for agent, relation in self.relations.items():
-            if relation.universe != self.worlds:
+            if relation.universe is not self.worlds and relation.universe != self.worlds:
                 raise ValueError(f"relation {agent.token} not over the world set")
 
     @property

@@ -218,6 +218,7 @@ def parse_machine(text: str) -> tuple[MachineSpec, FiniteConfiguration]:
     input_symbols = None
     head = None
     head_line = None
+    seen = set()  # directives read so far, each allowed once
 
     def fail(message, line):
         raise MachineFormatError(message, line)
@@ -228,29 +229,25 @@ def parse_machine(text: str) -> tuple[MachineSpec, FiniteConfiguration]:
             continue
         tokens = line.split()
         key = tokens[0]
+        if key in seen:
+            fail(f"duplicate {key} line", lineno)
+        if key != "trans":  # a trans line is checked per (state, symbol) pair
+            seen.add(key)
         if key == "machine":
             if len(tokens) != 2:
                 fail("expected: machine <name>", lineno)
-            if name is not None:
-                fail("duplicate machine line", lineno)
             name = tokens[1]
         elif key == "states":
             if len(tokens) < 2:
                 fail("expected: states <name>...", lineno)
-            if states is not None:
-                fail("duplicate states line", lineno)
             states = tokens[1:]
         elif key == "start":
             if len(tokens) != 2:
                 fail("expected: start <state>", lineno)
-            if start is not None:
-                fail("duplicate start line", lineno)
             start = tokens[1]
         elif key == "halt":
             if len(tokens) != 2:
                 fail("expected: halt <state>", lineno)
-            if halt is not None:
-                fail("duplicate halt line", lineno)
             halt = tokens[1]
         elif key == "trans":
             if len(tokens) != 7 or tokens[3] != "->":
@@ -271,8 +268,6 @@ def parse_machine(text: str) -> tuple[MachineSpec, FiniteConfiguration]:
                 fail(f"duplicate transition for ({state}, {read_tok})", lineno)
             transitions[trans_key] = (target, int(write_tok), move)
         elif key == "input":
-            if input_symbols is not None:
-                fail("duplicate input line", lineno)
             for tok in tokens[1:]:
                 if tok not in ("0", "1"):
                     fail(f"input symbol must be 0 or 1, got {tok!r}", lineno)
@@ -280,8 +275,6 @@ def parse_machine(text: str) -> tuple[MachineSpec, FiniteConfiguration]:
         elif key == "head":
             if len(tokens) != 2:
                 fail("expected: head <integer>", lineno)
-            if head is not None:
-                fail("duplicate head line", lineno)
             try:
                 head = int(tokens[1])
             except ValueError:

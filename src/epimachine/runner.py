@@ -6,6 +6,13 @@ compiled program. Each step is decoded and compared against the direct
 simulator; the trace records both sides together with model statistics so
 divergences are data, not surprises.
 
+One generator produces the run, yielding each step as it is built, and the
+stop reason is read off the last step: its decode (halted or malformed), the
+step cap, or the designated actions applicable at its point, which are the
+ones the next update would choose from. ``emulate`` keeps every step;
+``verify_lockstep`` folds each step into its report as it comes, so it holds
+one step's model at a time.
+
 Product worlds are ``(parent, action)`` pairs. From step 2 on the loop passes
 the update a name for each parent: its index k among the step's sorted
 worlds (its position among that step's DOT nodes). The update then builds
@@ -109,6 +116,65 @@ def pair_sort_key(world):
     return (str(world[0]), world[1])
 
 
+def _stop_of(entry: StepEntry, max_steps: int) -> tuple[str, str | None] | None:
+    """Why the run stops after ``entry``, as ``(stop_reason, error)``, or None
+    if it goes on. The next update would choose from ``entry.applicable``, so
+    it is undefined or non-deterministic when that holds zero or several."""
+    if isinstance(entry.decoded, Malformed):
+        return "malformed", entry.decoded.reason
+    if entry.decoded is HALTED:
+        return "halted", None
+    if entry.index == max_steps:
+        return "step-cap", None
+    if not entry.applicable:
+        return "undefined-update", "no designated action applicable at the point"
+    if len(entry.applicable) > 1:
+        violation = DeterminismViolation(entry.model.point, entry.applicable)
+        return "determinism-violation", str(violation)
+    return None
+
+
+def _steps(spec, initial, max_steps, mode, reencode, padding, compiled):
+    """Yield each step's entry as it is built, the last one being the first
+    for which ``_stop_of`` names a stop reason."""
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
+    if compiled is None:
+        compiled = compile_program(spec, mode)
+    program = compiled.program
+    states = tuple(spec.states)
+
+    model = encode(initial, states, padding).model
+    oracle_state: object = initial
+    # step 0 records the encoded start model; each later step first updates
+    for index in range(max_steps + 1):
+        if index:
+            names = None
+            if isinstance(model.point, tuple):
+                # every world is a (name, action) or (k, action) pair
+                names = {w: k for k, w in enumerate(sorted(model.worlds, key=pair_sort_key))}
+            model = product_update(model, program, names)
+            if oracle_state is not HALTED:
+                oracle_state = step(spec, oracle_state)
+        decoded = decode(model, states)
+        if index and reencode and isinstance(decoded, FiniteConfiguration):
+            model = encode(normalize(decoded), states, padding).model
+
+        entry = StepEntry(
+            index,
+            decoded,
+            oracle_state,
+            tuple(applicable_designated(model, program)),
+            model_stats(model),
+            _entries_match(decoded, oracle_state),
+            model,
+        )
+        yield entry
+        if _stop_of(entry, max_steps):
+            break
+    Evaluator.release()
+
+
 def emulate(
     spec: MachineSpec,
     initial: FiniteConfiguration,
@@ -127,63 +193,8 @@ def emulate(
     ``compiled`` is the program of ``spec`` in ``mode`` when the caller has
     already compiled it.
     """
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
-    if compiled is None:
-        compiled = compile_program(spec, mode)
-    program = compiled.program
-    states = tuple(spec.states)
-
-    model = encode(initial, states, padding).model
-    oracle_state: object = initial
-    entries: list[StepEntry] = []
-    stop_reason = "step-cap"
-    error = None
-
-    # step 0 records the encoded start model; each later step first updates
-    for index in range(max_steps + 1):
-        if index:
-            names = None
-            if isinstance(model.point, tuple):
-                # every world is a (name, action) or (k, action) pair
-                names = {w: k for k, w in enumerate(sorted(model.worlds, key=pair_sort_key))}
-            try:
-                updated = product_update(model, program, names)
-            except DeterminismViolation as exc:
-                stop_reason = "determinism-violation"
-                error = str(exc)
-                break
-            if updated is None:
-                stop_reason = "undefined-update"
-                error = "no designated action applicable at the point"
-                break
-            model = updated
-            if oracle_state is not HALTED:
-                oracle_state = step(spec, oracle_state)
-        decoded = decode(model, states)
-        if index and reencode and isinstance(decoded, FiniteConfiguration):
-            model = encode(normalize(decoded), states, padding).model
-
-        entries.append(
-            StepEntry(
-                index,
-                decoded,
-                oracle_state,
-                tuple(applicable_designated(model, program)),
-                model_stats(model),
-                _entries_match(decoded, oracle_state),
-                model,
-            )
-        )
-        if isinstance(decoded, Malformed):
-            stop_reason = "malformed"
-            error = decoded.reason
-            break
-        if decoded is HALTED:
-            stop_reason = "halted"
-            break
-
-    Evaluator.release()
+    entries = list(_steps(spec, initial, max_steps, mode, reencode, padding, compiled))
+    stop_reason, error = _stop_of(entries[-1], max_steps)
     return StepTrace(spec.name, mode, reencode, padding, entries, stop_reason, error)
 
 
@@ -195,25 +206,24 @@ def verify_lockstep(
     reencode: bool = False,
     padding: int = DEFAULT_PADDING,
 ) -> RunReport:
-    """Run emulation and direct simulation side by side and summarize."""
+    """Run emulation and direct simulation side by side and summarize, one
+    step at a time: only the current step's model is kept."""
     started = time.perf_counter()
-    trace = emulate(spec, initial, max_steps, mode, reencode, padding)
-    elapsed = time.perf_counter() - started
-
-    first_divergence = None
-    for entry in trace.entries:
-        if not entry.match:
+    first_divergence = oracle_halt = None
+    for entry in _steps(spec, initial, max_steps, mode, reencode, padding, None):
+        if first_divergence is None and not entry.match:
             first_divergence = entry.index
-            break
-    decoded_halt = next((e.index for e in trace.entries if e.decoded is HALTED), None)
-    oracle_halt = next((e.index for e in trace.entries if e.oracle is HALTED), None)
+        if oracle_halt is None and entry.oracle is HALTED:
+            oracle_halt = entry.index
+    elapsed = time.perf_counter() - started
+    decoded_halt = entry.index if entry.decoded is HALTED else None  # a halt ends the run
     return RunReport(
         spec.name,
         mode,
-        len(trace.entries) - 1,
+        entry.index,
         first_divergence,
         decoded_halt == oracle_halt,
-        trace.stop_reason,
+        _stop_of(entry, max_steps)[0],
         elapsed,
     )
 

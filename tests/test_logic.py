@@ -21,6 +21,7 @@ from epimachine.logic import (
     Evaluator,
     FormulaSyntaxError,
     Not,
+    PointedKripkeModel,
     box,
     closure,
     diamond,
@@ -211,6 +212,21 @@ def test_restricted_model():
     assert sub.valuation == {"u"}
     with pytest.raises(ValueError):
         restricted_model(model, {"v", "x"})
+
+
+def test_model_refuses_parts_outside_its_worlds():
+    worlds = frozenset({"u", "v"})
+    relation = closure({("u", "v")}, set(worlds))
+    assert relation.universe == worlds and relation.universe is not worlds
+    model = PointedKripkeModel(worlds, {TAPE_A: relation}, {"u"}, "v")
+    assert model.relations[TAPE_A] is relation
+    with pytest.raises(ValueError, match="point x is not a world"):
+        PointedKripkeModel(worlds, {TAPE_A: relation}, {"u"}, "x")
+    with pytest.raises(ValueError, match="valuation contains non-worlds"):
+        PointedKripkeModel(worlds, {TAPE_A: relation}, {"u", "x"}, "u")
+    for other in ({"u"}, {"u", "v", "x"}):
+        with pytest.raises(ValueError, match="relation a not over the world set"):
+            PointedKripkeModel(worlds, {TAPE_A: closure((), other)}, (), "u")
 
 
 # --- parsing and printing ---

@@ -119,6 +119,21 @@ def test_parse_refuses_repeated_directives(text):
         parse_machine(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "machine m\nstates s\nmachine n\n",
+        "machine m\nstates s\nstart s\nstates t\n",
+        "machine m\nstates s\nstart s\ninput 1\ninput 0 1\n",
+    ],
+)
+def test_parse_refuses_a_repeated_machine_states_or_input_line(text):
+    directive = text.splitlines()[-1].split()[0]
+    line = len(text.splitlines())
+    with pytest.raises(MachineFormatError, match=f"line {line}: duplicate {directive} line"):
+        parse_machine(text)
+
+
 def test_step_flip_transitions():
     spec, _ = parse_machine(FLIP_TEXT)
     on_zero = step(spec, FiniteConfiguration((0, 2), (0, 0, 0), 1, "q"))

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,55 @@ def test_determinism_violation_surfaces(flip_machine, monkeypatch):
     trace = emulate(spec, config, 3)
     assert trace.stop_reason == "determinism-violation"
     assert trace.error
+
+
+def test_undefined_update_surfaces(flip_machine, monkeypatch):
+    spec, config = flip_machine
+    # the only designated action applies nowhere, so the first update is undefined
+    from epimachine.action import build_program
+    from epimachine.logic import TOP, neg
+
+    program = build_program(
+        ("x",),
+        {agent: () for agent in encode(config, spec.states).model.agents},
+        {"x": neg(TOP)},
+        None,
+        ("x",),
+    )
+    stub = type("Stub", (), {"program": program})
+    monkeypatch.setattr(runner, "compile_program", lambda *_args, **_kw: stub)
+    trace = emulate(spec, config, 3)
+    assert trace.stop_reason == "undefined-update"
+    assert trace.error == "no designated action applicable at the point"
+    assert len(trace.entries) == 1
+    report = verify_lockstep(spec, config, 3)
+    assert report.stop_reason == "undefined-update"
+    assert report.ok() is False
+
+
+@pytest.mark.parametrize("reencode", (False, True))
+def test_verify_keeps_few_models_alive(monkeypatch, reencode):
+    alive = []  # a weak reference to each model an update or an encode returned
+    peak = 0
+
+    def watching(function, model_of):
+        def watched(*args, **kwargs):
+            nonlocal peak
+            result = function(*args, **kwargs)
+            alive.append(weakref.ref(model_of(result)))
+            peak = max(peak, sum(ref() is not None for ref in alive))
+            return result
+
+        return watched
+
+    monkeypatch.setattr(runner, "product_update", watching(runner.product_update, lambda m: m))
+    monkeypatch.setattr(runner, "encode", watching(runner.encode, lambda e: e.model))
+    spec, initial = load("march")
+    report = verify_lockstep(spec, initial, 60, reencode=reencode)
+    assert report.ok() and report.steps == 60
+    assert len(alive) == (121 if reencode else 61)
+    # the previous step's model, its update and, with re-encoding, the re-encoded one
+    assert peak <= 3
 
 
 def test_model_stats_counts(flip_encoded):

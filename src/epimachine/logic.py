@@ -27,7 +27,7 @@ World = Hashable
 def world_sort_key(world):
     """Total order over world identifiers, including nested pair identifiers."""
     if isinstance(world, tuple):
-        return (1, tuple(world_sort_key(part) for part in world))
+        return (1, tuple(map(world_sort_key, world)))
     return (0, str(world))
 
 
@@ -38,7 +38,7 @@ def sorted_worlds(worlds: Iterable[World]) -> list:
 def world_label(world) -> str:
     """Readable form of a (possibly pair-structured) world identifier."""
     if isinstance(world, tuple):
-        return "(" + ",".join(world_label(part) for part in world) + ")"
+        return "(" + ",".join(map(world_label, world)) + ")"
     return str(world)
 
 
@@ -402,28 +402,33 @@ def closure(pairs: Iterable[tuple], universe: Iterable) -> EquivRelation:
     """Smallest equivalence relation on ``universe`` containing ``pairs``.
 
     Raises ValueError when a pair member is outside the universe.
+
+    Classes are merged as member lists, the smaller into the larger, and a
+    pair whose members already share a class costs two lookups, so the
+    work is linear in the pairs listed, however redundant they are.
     """
     universe = frozenset(universe)
-    parent: dict = {}  # union-find over the pair members only
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
+    members: dict = {}  # pair member -> the member list of its class so far
     for x, y in pairs:
+        mx = members.get(x)
+        my = members.get(y)
+        if mx is not None and mx is my:
+            continue
         if x not in universe or y not in universe:
             raise ValueError(f"pair member outside universe: ({x!r}, {y!r})")
-        parent.setdefault(x, x)
-        parent.setdefault(y, y)
-        parent[find(x)] = find(y)
-    groups: dict = {}
-    for w in parent:
-        groups.setdefault(find(w), []).append(w)
-    return EquivRelation.from_blocks(universe, [g for g in groups.values() if len(g) > 1])
+        if x == y:
+            continue
+        if mx is None:
+            mx = members[x] = [x]
+        if my is None:
+            my = members[y] = [y]
+        if len(mx) < len(my):
+            mx, my = my, mx
+        mx.extend(my)
+        for w in my:
+            members[w] = mx
+    blocks = {id(group): group for group in members.values()}
+    return EquivRelation.from_blocks(universe, blocks.values())
 
 
 def equivalence_defect(pairs: Iterable[tuple], universe: Iterable) -> str | None:

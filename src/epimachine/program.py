@@ -4,7 +4,10 @@ description to the update program that emulates it.
 The compiled program has five action families:
 
 * ``cell:*``   designated actions, one per cell-classifying formula; they
-  copy the tape cells and carry the point.
+  copy the tape cells and carry the point. They share one ``a`` class and
+  one ``b`` class (less ``cell:L`` and ``cell:R`` respectively), each stated
+  by the chain of its sorted members, so the program lists k - 1 generator
+  pairs per class of k actions instead of every pair.
 * ``grow:*``   boundary actions that extend the tape by two cells per side
   each step. Two modes exist: ``repaired`` (default) uses constant atom
   postconditions so the fresh cells attach with the right atom parity;
@@ -28,7 +31,6 @@ cached only to save rebuilding them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -316,13 +318,15 @@ def compile_program(spec: MachineSpec, growth_mode: str = "repaired") -> Compile
             pre[f"cell:r:{q}:{i}"] = right_of_head_reading_formula(q, i)
     designated = cell_action_ids(states)
 
-    # the tape structure is copied by relating cell actions pairwise; the
-    # leftmost action stays a-isolated and the rightmost b-isolated so the
-    # end-cell formulas keep holding after the update
+    # the tape structure is copied by putting the cell actions in one a-class
+    # and one b-class, each generated by the chain of its sorted members
+    # (k - 1 pairs, not all k(k - 1)/2); the leftmost action stays a-isolated
+    # and the rightmost b-isolated so the end-cell formulas keep holding
+    # after the update
     a_members = sorted(a for a in designated if a != "cell:L")
     b_members = sorted(a for a in designated if a != "cell:R")
-    pairs[TAPE_A] += itertools.combinations(a_members, 2)
-    pairs[TAPE_B] += itertools.combinations(b_members, 2)
+    pairs[TAPE_A] += zip(a_members, a_members[1:])
+    pairs[TAPE_B] += zip(b_members, b_members[1:])
 
     # symbol transfer, skipping the head cell
     pre["copy"] = symbol_copy_formula(states)

@@ -10,7 +10,8 @@ One generator produces the run, yielding each step as it is built, and the
 stop reason is read off the last step: its decode (halted or malformed), the
 step cap, or the designated actions applicable at its point, which are the
 ones the next update would choose from. ``emulate`` keeps every step;
-``verify_lockstep`` folds each step into its report as it comes, so it holds
+``verify_lockstep`` folds each step into its report as it comes, and the
+``emulate`` command prints and writes each step as it comes, so both hold
 one step's model at a time.
 
 Product worlds are ``(parent, action)`` pairs. From step 2 on the loop passes
@@ -144,35 +145,39 @@ def _steps(spec, initial, max_steps, mode, reencode, padding, compiled):
     program = compiled.program
     states = tuple(spec.states)
 
-    model = encode(initial, states, padding).model
-    oracle_state: object = initial
-    # step 0 records the encoded start model; each later step first updates
-    for index in range(max_steps + 1):
-        if index:
-            names = None
-            if isinstance(model.point, tuple):
-                # every world is a (name, action) or (k, action) pair
-                names = {w: k for k, w in enumerate(sorted(model.worlds, key=pair_sort_key))}
-            model = product_update(model, program, names)
-            if oracle_state is not HALTED:
-                oracle_state = step(spec, oracle_state)
-        decoded = decode(model, states)
-        if index and reencode and isinstance(decoded, FiniteConfiguration):
-            model = encode(normalize(decoded), states, padding).model
+    # the checker slot is emptied however the run ends, also when the
+    # consumer stops early or fails, so it keeps no model alive
+    try:
+        model = encode(initial, states, padding).model
+        oracle_state: object = initial
+        # step 0 records the encoded start model; each later step first updates
+        for index in range(max_steps + 1):
+            if index:
+                names = None
+                if isinstance(model.point, tuple):
+                    # every world is a (name, action) or (k, action) pair
+                    names = {w: k for k, w in enumerate(sorted(model.worlds, key=pair_sort_key))}
+                model = product_update(model, program, names)
+                if oracle_state is not HALTED:
+                    oracle_state = step(spec, oracle_state)
+            decoded = decode(model, states)
+            if index and reencode and isinstance(decoded, FiniteConfiguration):
+                model = encode(normalize(decoded), states, padding).model
 
-        entry = StepEntry(
-            index,
-            decoded,
-            oracle_state,
-            tuple(applicable_designated(model, program)),
-            model_stats(model),
-            _entries_match(decoded, oracle_state),
-            model,
-        )
-        yield entry
-        if _stop_of(entry, max_steps):
-            break
-    Evaluator.release()
+            entry = StepEntry(
+                index,
+                decoded,
+                oracle_state,
+                tuple(applicable_designated(model, program)),
+                model_stats(model),
+                _entries_match(decoded, oracle_state),
+                model,
+            )
+            yield entry
+            if _stop_of(entry, max_steps):
+                break
+    finally:
+        Evaluator.release()
 
 
 def emulate(
@@ -233,7 +238,9 @@ def verify_lockstep(
 
 
 def _quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if '"' in text or "\\" in text:
+        text = text.replace("\\", "\\\\").replace('"', '\\"')
+    return '"' + text + '"'
 
 
 def export_dot(model: PointedKripkeModel) -> str:
@@ -241,18 +248,22 @@ def export_dot(model: PointedKripkeModel) -> str:
     pair, labeled by the relation index. Nodes, classes and members are put
     in ``sorted_worlds`` order here, whatever order the relations keep."""
     lines = ["graph model {", "  node [shape=circle];"]
-    rank = {world: k for k, world in enumerate(sorted_worlds(model.worlds))}
-    node = {world: _quote(world_label(world)) for world in rank}
-    for world, name in node.items():
-        label = world_label(world) + (" p" if world in model.valuation else " ¬p")
-        attrs = [f"label={_quote(label)}"]
+    rank = {}
+    node = []  # quoted world names, by rank
+    for k, world in enumerate(sorted_worlds(model.worlds)):
+        label = world_label(world)
+        rank[world] = k
+        node.append(_quote(label))
+        attrs = _quote(label + (" p" if world in model.valuation else " ¬p"))
         if world == model.point:
-            attrs.append("peripheries=2")
-        lines.append(f"  {name} [{', '.join(attrs)}];")
+            attrs += ", peripheries=2"
+        lines.append(f"  {node[k]} [label={attrs}];")
     for agent in sorted(model.relations, key=lambda a: a.token):
         suffix = f" [label={_quote(agent.token)}];"
-        for cls in sorted(model.relations[agent].blocks(), key=lambda c: min(map(rank.get, c))):
-            members = [node[world] for world in sorted(cls, key=rank.get)]
+        blocks = model.relations[agent].blocks()
+        # blocks are disjoint, so their sorted rank lists sort by least rank
+        for ranks in sorted(sorted(map(rank.__getitem__, block)) for block in blocks):
+            members = [node[k] for k in ranks]
             for i, left in enumerate(members):
                 for right in members[i + 1 :]:
                     lines.append(f"  {left} -- {right}{suffix}")
@@ -277,23 +288,23 @@ def _side_json(value) -> object:
     return _config_json(value)
 
 
-def export_trace_json(trace: StepTrace) -> str:
-    """Deterministic JSON rendering of a trace, fixed key order."""
-    steps = []
-    for entry in trace.entries:
-        steps.append(
-            {
-                "n": entry.index,
-                "decoded": _side_json(entry.decoded),
-                "oracle": _side_json(entry.oracle),
-                "applicable": list(entry.applicable),
-                "worlds": entry.stats.worlds,
-                "component_worlds": entry.stats.component_worlds,
-                "cells": entry.stats.cells,
-                "detached": entry.stats.detached,
-                "match": entry.match,
-            }
-        )
+def _step_json(entry: StepEntry) -> dict:
+    return {
+        "n": entry.index,
+        "decoded": _side_json(entry.decoded),
+        "oracle": _side_json(entry.oracle),
+        "applicable": list(entry.applicable),
+        "worlds": entry.stats.worlds,
+        "component_worlds": entry.stats.component_worlds,
+        "cells": entry.stats.cells,
+        "detached": entry.stats.detached,
+        "match": entry.match,
+    }
+
+
+def _trace_json(trace: StepTrace, steps: list[dict]) -> str:
+    """The trace document with ``steps`` as its step records; of ``trace``
+    only the run's settings and stop reason are read, not its entries."""
     doc = {
         "machine": trace.machine,
         "mode": trace.mode,
@@ -304,6 +315,11 @@ def export_trace_json(trace: StepTrace) -> str:
         "steps": steps,
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def export_trace_json(trace: StepTrace) -> str:
+    """Deterministic JSON rendering of a trace, fixed key order."""
+    return _trace_json(trace, [_step_json(entry) for entry in trace.entries])
 
 
 # ---------------------------------------------------------------------------
@@ -326,27 +342,35 @@ def _describe(value) -> str:
 
 
 def _cmd_emulate(args) -> int:
+    """Print each step, and write its DOT file, as the step is built; the
+    trace keeps each step's JSON record, not its model, until the run ends."""
     spec, initial = load_machine(args.machine)
     compiled = compile_program(spec, args.mode)
-    trace = emulate(spec, initial, args.steps, args.mode, args.reencode, args.padding, compiled)
-    for entry in trace.entries:
+    directory = Path(args.dot_dir) if args.dot_dir else None
+    if directory:
+        directory.mkdir(parents=True, exist_ok=True)
+    records = []
+    run = _steps(spec, initial, args.steps, args.mode, args.reencode, args.padding, compiled)
+    for entry in run:
         flag = "ok" if entry.match else "MISMATCH"
         print(
             f"step {entry.index}: {_describe(entry.decoded)} | oracle {_describe(entry.oracle)}"
             f" | worlds={entry.stats.worlds} component={entry.stats.component_worlds}"
             f" cells={entry.stats.cells} detached={entry.stats.detached} [{flag}]"
         )
-    print(f"stopped: {trace.stop_reason}" + (f" ({trace.error})" if trace.error else ""))
-    if args.trace:
-        Path(args.trace).write_text(export_trace_json(trace), encoding="utf-8")
-        print(f"trace written to {args.trace}")
-    if args.dot_dir:
-        directory = Path(args.dot_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        for entry in trace.entries:
+        if args.trace:
+            records.append(_step_json(entry))
+        if directory:
             (directory / f"step_{entry.index:03d}.dot").write_text(
                 export_dot(entry.model), encoding="utf-8"
             )
+    stop_reason, error = _stop_of(entry, args.steps)
+    print(f"stopped: {stop_reason}" + (f" ({error})" if error else ""))
+    if args.trace:
+        trace = StepTrace(spec.name, args.mode, args.reencode, args.padding, [], stop_reason, error)
+        Path(args.trace).write_text(_trace_json(trace, records), encoding="utf-8")
+        print(f"trace written to {args.trace}")
+    if directory:
         print(f"dot files written to {directory}")
     if args.emit_program:
         Path(args.emit_program).write_text(export_compiled(compiled), encoding="utf-8")

@@ -139,3 +139,19 @@ def padded_variant(rng: random.Random, config: FiniteConfiguration):
     lo, hi = config.window
     tape = (0,) * left + config.tape + (0,) * right
     return FiniteConfiguration((lo - left, hi + right), tape, config.head, config.state)
+
+
+# --- generated machines ---
+
+
+def generated_machine(working: int, seed: int = 0):
+    """A machine with ``working`` states w0, w1, ... plus the halt state H and
+    every transition of a working state defined, drawn from ``seed``."""
+    rng = random.Random(seed)
+    states = [f"w{i}" for i in range(working)]
+    lines = [f"machine gen{working}", f"states {' '.join(states)} H", "start w0", "halt H"]
+    for q in states:
+        for symbol in (0, 1):
+            target = rng.choice(states + ["H"])
+            lines.append(f"trans {q} {symbol} -> {target} {rng.randint(0, 1)} {rng.choice('LR')}")
+    return parse_machine("\n".join(lines) + "\n")

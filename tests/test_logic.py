@@ -414,3 +414,28 @@ def test_partition_with_and_without_singletons_agree(rng, size):
     assert full == sparse
     assert hash(full) == hash(sparse)
     assert repr(full) == repr(sparse) == f"EquivRelation({size} elements, {len(classes)} classes)"
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=24),
+    st.data(),
+)
+def test_closure_with_repeated_and_reflexive_pairs_matches_bruteforce(pairs, data):
+    repeats = data.draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    reflexive = data.draw(st.lists(st.integers(0, 11).map(lambda w: (w, w)), max_size=6))
+    listed = data.draw(st.permutations(pairs + repeats + reflexive))
+    universe = set(range(12))
+    assert closure(listed, universe).pairs() == naive_closure_pairs(listed, universe)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [("x", "y"), ("y", "z"), ("z", "nope")],
+        [("x", "y"), ("nope", "x")],
+        [("x", "y"), ("y", "x"), ("nope", "nope")],
+    ],
+)
+def test_closure_rejects_a_foreign_member_after_merging(pairs):
+    with pytest.raises(ValueError, match="outside universe"):
+        closure(pairs, {"x", "y", "z"})

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from epimachine.logic import (
     Evaluator,
     Formula,
     box,
+    closure,
     conj,
     diamond,
     disj,
@@ -19,8 +21,9 @@ from epimachine.logic import (
     sat_set,
     state_agent,
 )
-from epimachine.machine import FiniteConfiguration
+from epimachine.machine import FiniteConfiguration, parse_machine
 from epimachine.program import (
+    GROWTH_MODES,
     ActionRole,
     PreconditionKind,
     all_kinds,
@@ -47,7 +50,7 @@ from epimachine.program import (
     symbol_world_formula,
 )
 
-from helpers import brute_sat_set, load
+from helpers import MACHINE_DIR, brute_sat_set, generated_machine, load
 
 
 def test_formula_shapes():
@@ -373,3 +376,66 @@ def test_precondition_calls_the_builder_of_its_kind():
         assert precondition(kind, states) is formula
     with pytest.raises(ValueError, match="unknown precondition kind"):
         PreconditionKind("nowhere")
+
+
+# --- tape classes stated by chains ---
+
+# every machine file, bb4 as the benchmark ships it, and generated machines
+# with 10 and 20 working states
+MACHINE_FILES = sorted(MACHINE_DIR.glob("*.tm")) + [MACHINE_DIR.parent / "bench" / "bb4.tm"]
+
+
+def _spec(source):
+    if isinstance(source, int):
+        return generated_machine(source)[0]
+    return parse_machine(source.read_text())[0]
+
+
+def _source_id(source):
+    return f"gen{source}" if isinstance(source, int) else f"{source.parent.name}/{source.stem}"
+
+
+def _all_pairs_generators(program, agent, isolated):
+    """``agent``'s generator pairs with the cell actions' class listed as
+    every pair of its members instead of a chain; ``isolated`` is the cell
+    action outside that class."""
+    cells = sorted(a for a in program.designated if a != isolated)
+    others = [pair for pair in program.relation_pairs[agent] if not set(pair) <= set(cells)]
+    return list(itertools.combinations(cells, 2)) + others
+
+
+@pytest.mark.parametrize("mode", GROWTH_MODES)
+@pytest.mark.parametrize("source", MACHINE_FILES + [10, 20], ids=_source_id)
+def test_chain_generators_close_to_the_all_pairs_relations(source, mode):
+    program = compile_program(_spec(source), mode).program
+    for agent, isolated in ((TAPE_A, "cell:L"), (TAPE_B, "cell:R")):
+        chain = [p for p in program.relation_pairs[agent] if "cell:" in p[0] and "cell:" in p[1]]
+        assert len(chain) == len(program.designated) - 2
+        expected = closure(_all_pairs_generators(program, agent, isolated), program.actions)
+        assert program.relations[agent] == expected
+        assert program.relations[agent].class_of("cell:mid") == program.designated - {isolated}
+    for agent, relation in program.relations.items():
+        assert relation == closure(program.relation_pairs[agent], program.actions)
+
+
+@pytest.mark.parametrize("mode", GROWTH_MODES)
+def test_relations_list_fewer_pairs_than_the_program_has_actions(mode):
+    program = compile_program(_spec(20), mode).program
+    assert len(program.actions) > 200
+    for agent, pairs in program.relation_pairs.items():
+        assert len(pairs) < len(program.actions), agent
+
+
+@pytest.mark.parametrize("mode", GROWTH_MODES)
+@pytest.mark.parametrize("source", [MACHINE_DIR / "march.tm", 10], ids=_source_id)
+def test_an_all_pairs_export_imports_to_equal_relations(source, mode):
+    compiled = compile_program(_spec(source), mode)
+    program = compiled.program
+    doc = json.loads(export_compiled(compiled))
+    for agent, isolated in ((TAPE_A, "cell:L"), (TAPE_B, "cell:R")):
+        all_pairs = sorted(_all_pairs_generators(program, agent, isolated))
+        doc["relations"][agent.token]["pairs"] = [list(pair) for pair in all_pairs]
+    back = import_compiled(json.dumps(doc)).program
+    assert len(back.relation_pairs[TAPE_A]) > len(program.actions)
+    assert back.relations == program.relations
+    assert back.pre == program.pre and back.designated == program.designated

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import epimachine
 from epimachine import runner
 from epimachine.action import product_update
-from epimachine.codec import component_of_point, decode, encode
+from epimachine.codec import DEFAULT_PADDING, component_of_point, decode, encode
 from epimachine.logic import (
     TAPE_A,
     EquivRelation,
@@ -506,3 +506,80 @@ def test_no_relation_stores_a_class_of_one_world():
     assert len(trace.entries) == 31
     for entry in trace.entries:
         _assert_blocks_only(entry.model, entry.index)
+
+
+def test_closing_a_run_early_releases_the_checker_slot(flip_machine):
+    spec, config = flip_machine
+    run = runner._steps(spec, config, 10, "repaired", False, DEFAULT_PADDING, None)
+    next(run)
+    next(run)
+    assert Evaluator._last is not None
+    run.close()
+    assert Evaluator._last is None
+
+
+@pytest.mark.parametrize("reencode", (False, True))
+def test_cli_emulate_streams_its_output(tmp_path, monkeypatch, capsys, reencode):
+    alive = []  # a weak reference to each model an update or an encode returned
+    peak = 0
+
+    def watching(function, model_of):
+        def watched(*args, **kwargs):
+            nonlocal peak
+            result = function(*args, **kwargs)
+            alive.append(weakref.ref(model_of(result)))
+            peak = max(peak, sum(ref() is not None for ref in alive))
+            return result
+
+        return watched
+
+    monkeypatch.setattr(runner, "product_update", watching(runner.product_update, lambda m: m))
+    monkeypatch.setattr(runner, "encode", watching(runner.encode, lambda e: e.model))
+    trace_file, dot_dir = tmp_path / "trace.json", tmp_path / "dots"
+    march = str(MACHINE_DIR / "march.tm")
+    argv = ["emulate", march, "--steps", "40", "--trace", str(trace_file)]
+    argv += ["--dot-dir", str(dot_dir)]
+    assert main(argv + ["--reencode"] * reencode) == 0
+    assert len(alive) == (81 if reencode else 41)
+    assert peak <= 3
+    assert capsys.readouterr().out.count("\nstep ") == 40
+
+
+@pytest.mark.parametrize(
+    "name, options",
+    [("bb3", []), ("march", ["--reencode"]), ("march", ["--mode", "faithful"])],
+)
+def test_cli_emulate_writes_what_the_trace_renders(tmp_path, capsys, name, options):
+    trace_file, dot_dir = tmp_path / "trace.json", tmp_path / "dots"
+    path = MACHINE_DIR / f"{name}.tm"
+    argv = ["emulate", str(path), "--steps", "12", "--trace", str(trace_file)]
+    argv += ["--dot-dir", str(dot_dir)]
+    assert main(argv + options) == 0
+    out = capsys.readouterr().out.splitlines()
+    spec, initial = load(name)
+    mode = options[1] if "--mode" in options else "repaired"
+    trace = emulate(spec, initial, 12, mode, "--reencode" in options)
+    assert trace_file.read_text() == export_trace_json(trace)
+    assert sorted(path.name for path in dot_dir.iterdir()) == [
+        f"step_{entry.index:03d}.dot" for entry in trace.entries
+    ]
+    for entry in trace.entries:
+        assert (dot_dir / f"step_{entry.index:03d}.dot").read_text() == export_dot(entry.model)
+    assert [line.split(":")[0] for line in out[: len(trace.entries)]] == [
+        f"step {entry.index}" for entry in trace.entries
+    ]
+    assert out[len(trace.entries)] == f"stopped: {trace.stop_reason}" + (
+        f" ({trace.error})" if trace.error else ""
+    )
+
+
+def test_export_dot_escapes_quotes_and_backslashes():
+    worlds = {'say "hi"', "back\\slash", "plain"}
+    model = make_model(worlds, {TAPE_A: [('say "hi"', "plain")]}, {"plain"}, "plain")
+    assert export_dot(model).splitlines()[2:] == [
+        '  "back\\\\slash" [label="back\\\\slash ¬p"];',
+        '  "plain" [label="plain p", peripheries=2];',
+        '  "say \\"hi\\"" [label="say \\"hi\\" ¬p"];',
+        '  "plain" -- "say \\"hi\\"" [label="a"];',
+        "}",
+    ]

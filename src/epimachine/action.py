@@ -10,9 +10,9 @@ most one of them may apply at the source point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from ._value import Value, _set
 from .logic import (
     TOP,
     Agent,
@@ -38,8 +38,7 @@ class DeterminismViolation(Exception):
         )
 
 
-@dataclass(frozen=True)
-class EpistemicProgram:
+class EpistemicProgram(Value):
     """Finite action model: actions, per-index equivalence relations,
     preconditions, optional atom postconditions, designated actions.
 
@@ -47,19 +46,23 @@ class EpistemicProgram:
     built from, so exports do not have to expand closures.
     """
 
-    actions: tuple[str, ...]
-    relations: Mapping[Agent, EquivRelation]
-    relation_pairs: Mapping[Agent, tuple[tuple[str, str], ...]]
-    pre: Mapping[str, Formula]
-    post: Mapping[str, bool]
-    designated: frozenset[str]
+    _fields = ("actions", "relations", "relation_pairs", "pre", "post", "designated")
 
-    def __post_init__(self):
-        object.__setattr__(self, "relations", dict(self.relations))
-        object.__setattr__(self, "relation_pairs", dict(self.relation_pairs))
-        object.__setattr__(self, "pre", dict(self.pre))
-        object.__setattr__(self, "post", dict(self.post))
-        object.__setattr__(self, "designated", frozenset(self.designated))
+    def __init__(
+        self,
+        actions: tuple[str, ...],
+        relations: Mapping[Agent, EquivRelation],
+        relation_pairs: Mapping[Agent, tuple[tuple[str, str], ...]],
+        pre: Mapping[str, Formula],
+        post: Mapping[str, bool],
+        designated: frozenset[str],
+    ):
+        _set(self, "actions", actions)
+        _set(self, "relations", dict(relations))
+        _set(self, "relation_pairs", dict(relation_pairs))
+        _set(self, "pre", dict(pre))
+        _set(self, "post", dict(post))
+        _set(self, "designated", frozenset(designated))
 
     @property
     def agents(self) -> frozenset:

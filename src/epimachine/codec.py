@@ -19,9 +19,9 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from ._value import Value, _set
 from .logic import (
     SYMBOL,
     TAPE_A,
@@ -38,26 +38,33 @@ from .program import cell_formula, digit_formula, head_formula, leftmost_formula
 DEFAULT_PADDING = 5
 
 
-@dataclass(frozen=True)
-class Malformed:
+class Malformed(Value):
     """Decode failure: the component is not a valid encoded configuration."""
 
-    reason: str
+    _fields = ("reason",)
+
+    def __init__(self, reason: str):
+        _set(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class EncodedModel:
+class EncodedModel(Value):
     """Encoder output: the model plus position/world bookkeeping."""
 
-    model: PointedKripkeModel
-    cells: Mapping[int, str]
-    symbols: Mapping[int, str]
-    head_world: str
-    ceil_u: int
+    _fields = ("model", "cells", "symbols", "head_world", "ceil_u")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cells", dict(self.cells))
-        object.__setattr__(self, "symbols", dict(self.symbols))
+    def __init__(
+        self,
+        model: PointedKripkeModel,
+        cells: Mapping[int, str],
+        symbols: Mapping[int, str],
+        head_world: str,
+        ceil_u: int,
+    ):
+        _set(self, "model", model)
+        _set(self, "cells", dict(cells))
+        _set(self, "symbols", dict(symbols))
+        _set(self, "head_world", head_world)
+        _set(self, "ceil_u", ceil_u)
 
 
 def ceil_even(window: tuple[int, int]) -> int:
@@ -138,16 +145,26 @@ def component_of_point(model: PointedKripkeModel) -> frozenset:
     return Evaluator.of(model).component()
 
 
-@dataclass(frozen=True)
-class TapeReading:
+class TapeReading(Value):
     """Successful structural analysis of the point's component."""
 
-    component: frozenset
-    chain: tuple
-    positions: Mapping[object, int]
-    head_position: int
-    head_state: str
-    ones: tuple[int, ...]
+    _fields = ("component", "chain", "positions", "head_position", "head_state", "ones")
+
+    def __init__(
+        self,
+        component: frozenset,
+        chain: tuple,
+        positions: Mapping[object, int],
+        head_position: int,
+        head_state: str,
+        ones: tuple[int, ...],
+    ):
+        _set(self, "component", component)
+        _set(self, "chain", chain)
+        _set(self, "positions", positions)
+        _set(self, "head_position", head_position)
+        _set(self, "head_state", head_state)
+        _set(self, "ones", ones)
 
     def config(self) -> FiniteConfiguration:
         lo = self.positions[self.chain[0]]

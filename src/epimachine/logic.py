@@ -16,10 +16,12 @@ model's worlds once and keeps satisfaction sets as integer bitmasks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import weakref
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
+
+from ._value import Value, _set
 
 World = Hashable
 
@@ -51,18 +53,19 @@ _RESERVED_KINDS = ("a", "b", "1")
 _AGENTS = weakref.WeakValueDictionary()  # (kind, state) -> the one agent
 
 
-@dataclass(frozen=True, order=True, init=False)
-class Agent:
+@functools.total_ordering
+class Agent(Value):
     """Relation index: one of the two tape-structure indices ``a``/``b``, the
     symbol index ``1``, or one index per machine state.
 
-    Interned on (kind, state), so equal agents are one object and hash by
-    identity; copies and unpickled agents are the interned one too.
+    Interned on (kind, state), so equal agents are one object and compare
+    and hash by identity; copies and unpickled agents are the interned one
+    too. Agents order by (kind, state).
     """
 
-    kind: str
-    state: str = ""
-
+    __slots__ = ("kind", "state", "__weakref__")
+    _fields = ("kind", "state")
+    __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def __new__(cls, kind: str, state: str = ""):
@@ -75,13 +78,18 @@ class Agent:
             if kind != "q" and state:
                 raise ValueError(f"agent {kind!r} does not carry a state name")
             agent = object.__new__(cls)
-            object.__setattr__(agent, "kind", kind)
-            object.__setattr__(agent, "state", state)
+            _set(agent, "kind", kind)
+            _set(agent, "state", state)
             _AGENTS[kind, state] = agent
         return agent
 
     def __reduce__(self):
         return Agent, (self.kind, self.state)
+
+    def __lt__(self, other):
+        if other.__class__ is Agent:
+            return (self.kind, self.state) < (other.kind, other.state)
+        return NotImplemented
 
     @property
     def token(self) -> str:
@@ -120,44 +128,69 @@ def agent_universe(states: Iterable[str]) -> frozenset:
 _NODES = weakref.WeakValueDictionary()  # (class, *fields) -> the one node
 
 
-class Formula:
-    """Base class for formula AST nodes, interned on class and fields."""
+class Formula(Value):
+    """Base class for formula AST nodes, interned on class and fields, so
+    nodes compare and hash by identity."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __new__(cls, *fields):
-        return _NODES.setdefault((cls, *fields), object.__new__(cls))
+    @classmethod
+    def _intern(cls, *fields):
+        """The one node of ``cls`` with these fields; a new node's fields are
+        set once, here."""
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = object.__new__(cls)
+            for name, value in zip(cls._fields, fields):
+                _set(node, name, value)
+        return node
 
     def __reduce__(self):
         """Copies and unpickled nodes are built through ``__new__``, so interned."""
-        return type(self), tuple(vars(self).values())
+        return type(self), self._values()
+
+    @property
+    def __dict__(self):
+        """The fields by name, so ``vars`` reads a node's slots."""
+        return dict(zip(self._fields, self._values()))
 
 
-@dataclass(frozen=True, eq=False)
 class Top(Formula):
-    pass
+    __slots__ = ()
+
+    def __new__(cls):
+        return cls._intern()
 
 
-@dataclass(frozen=True, eq=False)
 class Atom(Formula):
-    pass
+    __slots__ = ()
+
+    def __new__(cls):
+        return cls._intern()
 
 
-@dataclass(frozen=True, eq=False)
 class Not(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
+
+    def __new__(cls, sub: Formula):
+        return cls._intern(sub)
 
 
-@dataclass(frozen=True, eq=False)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        return cls._intern(left, right)
 
 
-@dataclass(frozen=True, eq=False)
 class Box(Formula):
-    agent: Agent
-    sub: Formula
+    __slots__ = _fields = ("agent", "sub")
+
+    def __new__(cls, agent: Agent, sub: Formula):
+        return cls._intern(agent, sub)
 
 
 TOP = Top()
@@ -463,28 +496,34 @@ def is_equivalence(pairs: Iterable[tuple], universe: Iterable) -> bool:
 # pointed Kripke models
 
 
-@dataclass(frozen=True)
-class PointedKripkeModel:
+class PointedKripkeModel(Value):
     """Finite Kripke model with equivalence relations and a designated world.
 
     Immutable after construction; evaluation never mutates the model.
     """
 
-    worlds: frozenset
-    relations: Mapping[Agent, EquivRelation]
-    valuation: frozenset
-    point: World
+    _fields = ("worlds", "relations", "valuation", "point")
 
-    def __post_init__(self):
-        object.__setattr__(self, "worlds", frozenset(self.worlds))
-        object.__setattr__(self, "valuation", frozenset(self.valuation))
-        object.__setattr__(self, "relations", dict(self.relations))
-        if self.point not in self.worlds:
-            raise ValueError(f"point {world_label(self.point)} is not a world")
-        if not self.valuation <= self.worlds:
+    def __init__(
+        self,
+        worlds: frozenset,
+        relations: Mapping[Agent, EquivRelation],
+        valuation: frozenset,
+        point: World,
+    ):
+        worlds = frozenset(worlds)
+        relations = dict(relations)
+        valuation = frozenset(valuation)
+        _set(self, "worlds", worlds)
+        _set(self, "relations", relations)
+        _set(self, "valuation", valuation)
+        _set(self, "point", point)
+        if point not in worlds:
+            raise ValueError(f"point {world_label(point)} is not a world")
+        if not valuation <= worlds:
             raise ValueError("valuation contains non-worlds")
-        for agent, relation in self.relations.items():
-            if relation.universe is not self.worlds and relation.universe != self.worlds:
+        for agent, relation in relations.items():
+            if relation.universe is not worlds and relation.universe != worlds:
                 raise ValueError(f"relation {agent.token} not over the world set")
 
     @property

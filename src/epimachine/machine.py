@@ -9,8 +9,9 @@ immaterial while absolute cell positions are not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
+
+from ._value import Value, _set
 
 MOVES = ("L", "H", "R")
 _MOVE_OFFSET = {"L": -1, "H": 0, "R": 1}
@@ -23,8 +24,7 @@ _BAD_NAME_CHARS = set("[]<>()~&|:#\"")
 MAX_SPAN = 10_000
 
 
-@dataclass(frozen=True)
-class Halted:
+class Halted(Value):
     """Marker for an undefined transition."""
 
     def __repr__(self):
@@ -51,8 +51,7 @@ def _check_state_name(name: str) -> None:
         raise ValueError(f"state name {name!r} contains forbidden characters")
 
 
-@dataclass(frozen=True)
-class MachineSpec:
+class MachineSpec(Value):
     """Machine description over tape alphabet {0, 1} with blank 0.
 
     ``transitions`` maps (state, read symbol) to (state, written symbol,
@@ -60,15 +59,21 @@ class MachineSpec:
     have no outgoing transitions.
     """
 
-    name: str
-    states: tuple[str, ...]
-    start: str
-    halt: str | None
-    transitions: Mapping[tuple[str, int], tuple[str, int, str]]
+    _fields = ("name", "states", "start", "halt", "transitions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "transitions", dict(self.transitions))
+    def __init__(
+        self,
+        name: str,
+        states: tuple[str, ...],
+        start: str,
+        halt: str | None,
+        transitions: Mapping[tuple[str, int], tuple[str, int, str]],
+    ):
+        _set(self, "name", name)
+        _set(self, "states", tuple(states))
+        _set(self, "start", start)
+        _set(self, "halt", halt)
+        _set(self, "transitions", dict(transitions))
         if not self.states:
             raise ValueError("machine needs at least one state")
         if len(set(self.states)) != len(self.states):
@@ -95,26 +100,26 @@ class MachineSpec:
         return self.transitions.get((state, symbol))
 
 
-@dataclass(frozen=True)
-class FiniteConfiguration:
+class FiniteConfiguration(Value):
     """Finite tape window, head position inside it, and control state."""
 
-    window: tuple[int, int]
-    tape: tuple[int, ...]
-    head: int
-    state: str
+    _fields = ("window", "tape", "head", "state")
 
-    def __post_init__(self):
-        object.__setattr__(self, "window", tuple(self.window))
-        object.__setattr__(self, "tape", tuple(self.tape))
-        lo, hi = self.window
+    def __init__(self, window: tuple[int, int], tape: tuple[int, ...], head: int, state: str):
+        window = tuple(window)
+        tape = tuple(tape)
+        _set(self, "window", window)
+        _set(self, "tape", tape)
+        _set(self, "head", head)
+        _set(self, "state", state)
+        lo, hi = window
         if lo > hi:
             raise ValueError(f"empty window [{lo}, {hi}]")
-        if len(self.tape) != hi - lo + 1:
+        if len(tape) != hi - lo + 1:
             raise ValueError("tape length does not match the window")
-        if not lo <= self.head <= hi:
-            raise ValueError(f"head {self.head} outside window [{lo}, {hi}]")
-        if any(symbol not in (0, 1) for symbol in self.tape):
+        if not lo <= head <= hi:
+            raise ValueError(f"head {head} outside window [{lo}, {hi}]")
+        if any(symbol not in (0, 1) for symbol in tape):
             raise ValueError("tape symbols must be 0 or 1")
 
     def symbol_at(self, position: int) -> int:
@@ -162,11 +167,13 @@ def step(spec: MachineSpec, config: FiniteConfiguration):
     return FiniteConfiguration((lo, hi), tuple(tape), head, target)
 
 
-@dataclass(frozen=True)
-class OracleTrace:
-    configs: tuple[FiniteConfiguration, ...]
-    halted: bool
-    steps: int
+class OracleTrace(Value):
+    _fields = ("configs", "halted", "steps")
+
+    def __init__(self, configs: tuple[FiniteConfiguration, ...], halted: bool, steps: int):
+        _set(self, "configs", configs)
+        _set(self, "halted", halted)
+        _set(self, "steps", steps)
 
 
 def run_oracle(spec: MachineSpec, config: FiniteConfiguration, max_steps: int) -> OracleTrace:

@@ -31,10 +31,10 @@ cached only to save rebuilding them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
+from ._value import Value, _set
 from .action import EpistemicProgram, build_program, export_program, import_program
 from .logic import (
     P,
@@ -198,23 +198,23 @@ _KINDS: dict[str, tuple[Callable[..., Formula], tuple[str, ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class PreconditionKind:
+class PreconditionKind(Value):
     """One of the fifteen expressible cell/symbol properties, possibly
     parameterized by a machine state and a digit."""
 
-    name: str
-    state: str | None = None
-    digit: int | None = None
+    _fields = ("name", "state", "digit")
 
-    def __post_init__(self):
-        if self.name not in _KINDS:
-            raise ValueError(f"unknown precondition kind {self.name!r}")
-        params = _KINDS[self.name][1]
-        if (self.state is not None) != ("state" in params):
-            raise ValueError(f"kind {self.name!r} and state parameter do not match")
-        if (self.digit is not None) != ("digit" in params):
-            raise ValueError(f"kind {self.name!r} and digit parameter do not match")
+    def __init__(self, name: str, state: str | None = None, digit: int | None = None):
+        _set(self, "name", name)
+        _set(self, "state", state)
+        _set(self, "digit", digit)
+        if name not in _KINDS:
+            raise ValueError(f"unknown precondition kind {name!r}")
+        params = _KINDS[name][1]
+        if (state is not None) != ("state" in params):
+            raise ValueError(f"kind {name!r} and state parameter do not match")
+        if (digit is not None) != ("digit" in params):
+            raise ValueError(f"kind {name!r} and digit parameter do not match")
 
 
 def _kinds_taking(*params: str) -> list[str]:
@@ -247,12 +247,14 @@ def precondition(kind: PreconditionKind, states: Sequence[str]) -> Formula:
 # compilation
 
 
-@dataclass(frozen=True)
-class ActionRole:
+class ActionRole(Value):
     """Family tag for a compiled action (cell, grow, copy, write, mount)."""
 
-    family: str
-    detail: str = ""
+    _fields = ("family", "detail")
+
+    def __init__(self, family: str, detail: str = ""):
+        _set(self, "family", family)
+        _set(self, "detail", detail)
 
     @classmethod
     def of(cls, action: str) -> ActionRole:
@@ -262,13 +264,15 @@ class ActionRole:
         return cls(family, detail)
 
 
-@dataclass(frozen=True)
-class CompiledProgram:
+class CompiledProgram(Value):
     """An update program plus the growth mode it was built with."""
 
-    program: EpistemicProgram
-    growth_mode: str
-    machine: str
+    _fields = ("program", "growth_mode", "machine")
+
+    def __init__(self, program: EpistemicProgram, growth_mode: str, machine: str):
+        _set(self, "program", program)
+        _set(self, "growth_mode", growth_mode)
+        _set(self, "machine", machine)
 
     @property
     def roles(self) -> dict[str, ActionRole]:

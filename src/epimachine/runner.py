@@ -28,9 +28,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._value import Value, _set
 from .action import DeterminismViolation, applicable_designated, product_update
 from .codec import DEFAULT_PADDING, Malformed, component_of_point, decode, encode
 from .logic import Evaluator, PointedKripkeModel, sorted_worlds, world_label
@@ -47,12 +47,14 @@ from .machine import (
 from .program import GROWTH_MODES, CompiledProgram, cell_formula, compile_program, export_compiled
 
 
-@dataclass(frozen=True)
-class ModelStats:
-    worlds: int
-    component_worlds: int
-    cells: int
-    detached: int
+class ModelStats(Value):
+    _fields = ("worlds", "component_worlds", "cells", "detached")
+
+    def __init__(self, worlds: int, component_worlds: int, cells: int, detached: int):
+        _set(self, "worlds", worlds)
+        _set(self, "component_worlds", component_worlds)
+        _set(self, "cells", cells)
+        _set(self, "detached", detached)
 
 
 def model_stats(model: PointedKripkeModel) -> ModelStats:
@@ -61,39 +63,81 @@ def model_stats(model: PointedKripkeModel) -> ModelStats:
     return ModelStats(len(model.worlds), len(component), cells, len(model.worlds) - len(component))
 
 
-@dataclass(frozen=True)
-class StepEntry:
+class StepEntry(Value):
     """One emulation step: decoded state, oracle state, and model metrics."""
 
-    index: int
-    decoded: object  # FiniteConfiguration | Halted | Malformed
-    oracle: object  # FiniteConfiguration | Halted
-    applicable: tuple[str, ...]
-    stats: ModelStats
-    match: bool
-    model: PointedKripkeModel = field(repr=False)
+    _fields = ("index", "decoded", "oracle", "applicable", "stats", "match", "model")
+    _unshown = ("model",)
+
+    def __init__(
+        self,
+        index: int,
+        decoded: object,  # FiniteConfiguration | Halted | Malformed
+        oracle: object,  # FiniteConfiguration | Halted
+        applicable: tuple[str, ...],
+        stats: ModelStats,
+        match: bool,
+        model: PointedKripkeModel,
+    ):
+        _set(self, "index", index)
+        _set(self, "decoded", decoded)
+        _set(self, "oracle", oracle)
+        _set(self, "applicable", applicable)
+        _set(self, "stats", stats)
+        _set(self, "match", match)
+        _set(self, "model", model)
 
 
-@dataclass
-class StepTrace:
-    machine: str
-    mode: str
-    reencode: bool
-    padding: int
-    entries: list[StepEntry]
-    stop_reason: str
-    error: str | None = None
+class StepTrace(Value):
+    """A whole emulation run; unlike the other records it is mutable and
+    therefore unhashable."""
+
+    _fields = ("machine", "mode", "reencode", "padding", "entries", "stop_reason", "error")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        machine: str,
+        mode: str,
+        reencode: bool,
+        padding: int,
+        entries: list[StepEntry],
+        stop_reason: str,
+        error: str | None = None,
+    ):
+        self.machine = machine
+        self.mode = mode
+        self.reencode = reencode
+        self.padding = padding
+        self.entries = entries
+        self.stop_reason = stop_reason
+        self.error = error
 
 
-@dataclass(frozen=True)
-class RunReport:
-    machine: str
-    mode: str
-    steps: int
-    first_divergence: int | None
-    halt_agreement: bool
-    stop_reason: str
-    wall_time: float
+class RunReport(Value):
+    _fields = (
+        "machine", "mode", "steps", "first_divergence", "halt_agreement", "stop_reason", "wall_time"
+    )
+
+    def __init__(
+        self,
+        machine: str,
+        mode: str,
+        steps: int,
+        first_divergence: int | None,
+        halt_agreement: bool,
+        stop_reason: str,
+        wall_time: float,
+    ):
+        _set(self, "machine", machine)
+        _set(self, "mode", mode)
+        _set(self, "steps", steps)
+        _set(self, "first_divergence", first_divergence)
+        _set(self, "halt_agreement", halt_agreement)
+        _set(self, "stop_reason", stop_reason)
+        _set(self, "wall_time", wall_time)
 
     def ok(self) -> bool:
         return (
@@ -343,9 +387,15 @@ def _describe(value) -> str:
 
 def _cmd_emulate(args) -> int:
     """Print each step, and write its DOT file, as the step is built; the
-    trace keeps each step's JSON record, not its model, until the run ends."""
+    trace keeps each step's JSON record, not its model, until the run ends.
+    The files written after the run are checked before it starts."""
     spec, initial = load_machine(args.machine)
     compiled = compile_program(spec, args.mode)
+    for path in [Path(target) for target in (args.trace, args.emit_program) if target]:
+        if not path.parent.is_dir():
+            raise NotADirectoryError(f"cannot write {path}: no directory {path.parent}")
+        if path.is_dir():
+            raise IsADirectoryError(f"cannot write {path}: it is a directory")
     directory = Path(args.dot_dir) if args.dot_dir else None
     if directory:
         directory.mkdir(parents=True, exist_ok=True)

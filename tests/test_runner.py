@@ -583,3 +583,19 @@ def test_export_dot_escapes_quotes_and_backslashes():
         '  "plain" -- "say \\"hi\\"" [label="a"];',
         "}",
     ]
+
+
+@pytest.mark.parametrize("option", ["--trace", "--emit-program"])
+def test_cli_emulate_refuses_an_unwritable_output_before_the_first_step(tmp_path, capsys, option):
+    march_path = str(MACHINE_DIR / "march.tm")
+    target = tmp_path / "missing" / "out.json"
+    dot_dir = tmp_path / "dots"
+    argv = ["emulate", march_path, "--steps", "300", option, str(target), "--dot-dir", str(dot_dir)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "step 0" not in captured.out and "stopped" not in captured.out
+    assert captured.err.startswith("error: ") and str(target.parent) in captured.err
+    assert not target.parent.exists() and not dot_dir.exists()
+    # a directory in place of the file is refused the same way
+    assert main(["emulate", march_path, "--steps", "300", option, str(tmp_path)]) == 2
+    assert "step 0" not in capsys.readouterr().out

@@ -19,10 +19,12 @@ from .logic import (
     EquivRelation,
     Evaluator,
     Formula,
+    Plan,
     PointedKripkeModel,
     closure,
     format_formula,
     parse_formula,
+    plan_of,
     world_label,
 )
 
@@ -43,7 +45,9 @@ class EpistemicProgram(Value):
     preconditions, optional atom postconditions, designated actions.
 
     ``relation_pairs`` keeps the generator pairs the relation closures were
-    built from, so exports do not have to expand closures.
+    built from, so exports do not have to expand closures. ``plan``, the
+    preconditions' evaluation plan, is compiled on first use and kept on the
+    program, outside its fields.
     """
 
     _fields = ("actions", "relations", "relation_pairs", "pre", "post", "designated")
@@ -67,6 +71,16 @@ class EpistemicProgram(Value):
     @property
     def agents(self) -> frozenset:
         return frozenset(self.relations)
+
+    @property
+    def plan(self) -> Plan:
+        """The plan whose roots are the distinct preconditions, in action
+        order; programs with the same preconditions share it."""
+        plan = self.__dict__.get("_plan")
+        if plan is None:
+            plan = plan_of(tuple(dict.fromkeys(map(self.pre.__getitem__, self.actions))))
+            _set(self, "_plan", plan)
+        return plan
 
 
 def build_program(
@@ -116,6 +130,7 @@ def applicable_designated(
     """Designated actions whose precondition holds at the point, in action-id
     order. Length 1 means the update is defined and deterministic here."""
     ev = Evaluator.of(model)
+    ev.run(program.plan)
     return [a for a in sorted(program.designated) if ev.check(model.point, program.pre[a])]
 
 
@@ -139,8 +154,10 @@ def product_update(
 
     ev = Evaluator.of(model)
     children: dict = {}  # parent world -> (action, child) per precondition it satisfies
+    plan = program.plan
+    masks = dict(zip(plan.roots, ev.run(plan)))
     for action in program.actions:
-        for parent in ev.sat_set(program.pre[action]):
+        for parent in ev.members(masks[program.pre[action]]):
             child = (action, (parent if names is None else names[parent], action))
             if parent in children:
                 children[parent].append(child)

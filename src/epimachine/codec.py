@@ -19,6 +19,7 @@ exactly.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from ._value import Value, _set
@@ -28,6 +29,7 @@ from .logic import (
     TAPE_B,
     EquivRelation,
     Evaluator,
+    Plan,
     PointedKripkeModel,
     state_agent,
     world_label,
@@ -174,33 +176,41 @@ class TapeReading(Value):
         return FiniteConfiguration((lo, hi), tape, self.head_position, self.head_state)
 
 
+@lru_cache(maxsize=64)
+def _decoder_plan(states: tuple[str, ...]) -> Plan:
+    """The plan of the cell, leftmost, rightmost and digit-1 formulas, then
+    the head formula of each state."""
+    fixed = (cell_formula(), leftmost_formula(), rightmost_formula(), digit_formula(1))
+    return Plan(fixed + tuple(map(head_formula, states)))
+
+
 def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
     component = component_of_point(model)
     ev = Evaluator.of(model)
-    cells = component & ev.sat_set(cell_formula())
-    if model.point not in cells:
+    bits = ev.bits
+    cell, leftmost, rightmost, one, *heads = ev.run(_decoder_plan(states))
+    cells = cell & ev.mask_of(component)
+    if not cells & bits[model.point]:
         return Malformed("point is not a cell")
 
-    left_ends = list(cells & ev.sat_set(leftmost_formula()))
-    if len(left_ends) != 1:
-        return Malformed(
-            "no leftmost cell" if not left_ends else "multiple leftmost cells"
-        )
-    right_ends = list(cells & ev.sat_set(rightmost_formula()))
-    if len(right_ends) != 1:
-        return Malformed(
-            "no rightmost cell" if not right_ends else "multiple rightmost cells"
-        )
+    left_ends = cells & leftmost
+    if left_ends.bit_count() != 1:
+        return Malformed("no leftmost cell" if not left_ends else "multiple leftmost cells")
+    right_ends = cells & rightmost
+    if right_ends.bit_count() != 1:
+        return Malformed("no rightmost cell" if not right_ends else "multiple rightmost cells")
+    (left_end,) = ev.members(left_ends)
+    (right_end,) = ev.members(right_ends)
 
     # Walk the chain left to right. From a p-cell the right neighbor is its
     # a-partner, from a non-p-cell its b-partner; both must be the other
     # member of a block of exactly two along the way.
     tape_a, tape_b = model.relations[TAPE_A], model.relations[TAPE_B]
     tape = {True: (tape_a.index.get, tape_a.blocks()), False: (tape_b.index.get, tape_b.blocks())}
-    chain = [left_ends[0]]
-    visited = {left_ends[0]}
-    current = left_ends[0]
-    while current != right_ends[0]:
+    chain = [left_end]
+    visited = {left_end}
+    current = left_end
+    while current != right_end:
         find, blocks = tape[current in model.valuation]
         i = find(current)
         block = () if i is None else blocks[i]
@@ -208,27 +218,29 @@ def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
             return Malformed(f"alternation violated at {world_label(current)}")
         first, second = block
         nxt = second if first == current else first
-        if nxt not in cells:
+        if not cells & bits[nxt]:
             return Malformed(f"tape relation leaves the cells at {world_label(current)}")
         if nxt in visited:
             return Malformed(f"cell chain cycles at {world_label(nxt)}")
         chain.append(nxt)
         visited.add(nxt)
         current = nxt
-    if visited != cells:
+    if len(visited) != cells.bit_count():  # every visited world is a cell
         return Malformed("cells outside the tape chain")
 
     anchor = chain.index(model.point)
     positions = {w: i - anchor for i, w in enumerate(chain)}
 
-    heads = [(positions[w], q) for q in states for w in cells & ev.sat_set(head_formula(q))]
+    heads = [(q, cells & head) for q, head in zip(states, heads) if cells & head]
     if not heads:
         return HALTED
-    if len(heads) > 1:
+    if len(heads) > 1 or heads[0][1].bit_count() > 1:
         return Malformed("multiple heads")
+    head_state, head = heads[0]
+    (head_cell,) = ev.members(head)
 
-    ones = tuple(sorted(positions[w] for w in cells & ev.sat_set(digit_formula(1))))
-    return TapeReading(component, tuple(chain), positions, heads[0][0], heads[0][1], ones)
+    ones = tuple(sorted(map(positions.__getitem__, ev.members(cells & one))))
+    return TapeReading(component, tuple(chain), positions, positions[head_cell], head_state, ones)
 
 
 def decode(model: PointedKripkeModel, states: Sequence[str]):

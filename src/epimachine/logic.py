@@ -11,7 +11,11 @@ so the work on a relation follows the worlds it links, not its universe.
 The public constructor checks a full partition in one pass; partitions the
 package builds itself skip the check. Relation indices are interned like
 formula nodes, so an index hashes by identity. The checker numbers a
-model's worlds once and keeps satisfaction sets as integer bitmasks.
+model's worlds once and keeps satisfaction sets as integer bitmasks. It
+evaluates plans: a plan, compiled once for a tuple of root formulas, has
+one step per distinct node that is not a negation, with each chain of
+negations folded into its operand's parity, and runs as one flat pass per
+model whose masks are memoized on the formula nodes.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import weakref
+from operator import is_
 from typing import Hashable, Iterable, Mapping
 
 from ._value import Value, _set
@@ -554,20 +559,101 @@ def make_model(
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
+# plan step operations; ``_AND_NOT`` is x & ~y, ``_NOR`` is ~x & ~y, and
+# ``_BOX_NOT`` is [x]~y
+_AND_NOT, _NOR, _BOX_NOT, _BOX, _AND, _ATOM, _TOP = range(7)
+
+
+class Plan:
+    """The evaluation order of a tuple of root formulas, compiled once and
+    run by a checker once per model.
+
+    One pass over the roots' DAG gives one step per distinct node that is
+    not a negation (an ``And``, ``Box``, ``Atom`` or ``Top``), in dependency
+    order. A step is (slot, operation, x, y): the slot is its position, and
+    x and y are the slots of its operands (for a box, x is the agent). A
+    chain of ``Not``s folds to its parity: each operand and each root is a
+    (slot, negated) pair, and the step's operation absorbs the negation, so
+    a negation costs no step and no mask. A plan compares and hashes by
+    identity.
+    """
+
+    __slots__ = ("roots", "outputs", "steps", "nodes", "agents")
+
+    def __init__(self, roots: Iterable[Formula]):
+        operands: dict = {}  # node -> (slot, negated)
+        steps = []
+        nodes = []  # the node of each slot
+        agents: dict = {}  # the agents of the boxes, as keys
+
+        def operand(formula):
+            pair = operands.get(formula)
+            if pair is not None:
+                return pair
+            kind = type(formula)
+            if kind is Not:
+                slot, negated = operand(formula.sub)
+                pair = operands[formula] = (slot, not negated)
+                return pair
+            if kind is And:
+                (x, x_neg), (y, y_neg) = operand(formula.left), operand(formula.right)
+                if x_neg and y_neg:
+                    step = (_NOR, x, y)
+                elif x_neg or y_neg:
+                    step = (_AND_NOT, y, x) if x_neg else (_AND_NOT, x, y)
+                else:
+                    step = (_AND, x, y)
+            elif kind is Box:
+                y, y_neg = operand(formula.sub)
+                agents[formula.agent] = None
+                step = (_BOX_NOT if y_neg else _BOX, formula.agent, y)
+            elif kind is Atom:
+                step = (_ATOM, 0, 0)
+            elif kind is Top:
+                step = (_TOP, 0, 0)
+            else:
+                raise TypeError(f"not a formula: {formula!r}")
+            slot = len(steps)
+            steps.append((slot, *step))
+            nodes.append(formula)
+            pair = operands[formula] = (slot, False)
+            return pair
+
+        self.roots = tuple(roots)
+        self.outputs = tuple(map(operand, self.roots))
+        self.steps = tuple(steps)
+        self.nodes = tuple(nodes)
+        self.agents = tuple(agents)
+
+
+@functools.lru_cache(maxsize=1024)
+def plan_of(roots: tuple) -> Plan:
+    """The plan of ``roots``, one object for every caller that asks for
+    these roots while the bounded cache holds it."""
+    return Plan(roots)
+
 
 class Evaluator:
     """Set-at-a-time model checker for one model.
 
     The worlds are numbered once, and a satisfaction set is an ``int`` whose
-    bit k is set iff world k satisfies the formula: ``Not`` and ``And`` cost
-    one integer operation each, and ``Box`` clears from its inner set every
-    class of the agent with more than one member that the inner set does not
-    contain (a world alone in its class satisfies [i]f iff it satisfies f).
-    Sets are memoized on the formula node, which interning makes one object
-    per distinct formula; ``sat_set`` turns one into a frozenset when asked.
+    bit k is set iff world k satisfies the formula. The checker runs
+    ``Plan``s: one flat pass over a plan's steps, each filling its slot with
+    a mask. ``And`` costs one integer operation, a negation folded into an
+    operand none, and ``Box`` removes from its inner set every class of the
+    agent with more than one member that the inner set does not contain (a
+    world alone in its class satisfies [i]f iff it satisfies f). After a run
+    the masks of the roots and of every node inside are memoized on the
+    formula node, which interning makes one object per distinct formula, so
+    ``check``, ``mask`` and ``sat_set`` answer from the memo, and a later
+    run skips the steps whose nodes it holds. A formula not in the memo runs
+    its own one-root plan. ``run`` runs a given plan at most once per
+    checker, recognizing it by identity.
     """
 
-    __slots__ = ("model", "_worlds", "_bit", "_full", "_masks", "_sets", "_blocks", "_component")
+    __slots__ = (
+        "model", "_worlds", "_bit", "_full", "_masks", "_sets", "_runs", "_blocks", "_component"
+    )
     _last: "Evaluator | None" = None
 
     def __init__(self, model: PointedKripkeModel):
@@ -577,6 +663,7 @@ class Evaluator:
         self._full = (1 << len(self._worlds)) - 1
         self._masks: dict = {}
         self._sets: dict = {}
+        self._runs: dict = {}  # plan -> its roots' masks
         self._blocks: dict = {}  # agent -> masks of its classes of two or more worlds
         self._component = None
 
@@ -595,16 +682,80 @@ class Evaluator:
         Evaluator._last = None
 
     def check(self, world: World, formula: Formula) -> bool:
-        return self._mask(formula) & self._bit.get(world, 0) != 0
+        return self.mask(formula) & self._bit.get(world, 0) != 0
+
+    def mask(self, formula: Formula) -> int:
+        """The satisfaction set of ``formula`` as a bitmask."""
+        hit = self._masks.get(formula)
+        if hit is None:
+            (hit,) = self._run(plan_of((formula,)))
+        return hit
+
+    @property
+    def bits(self) -> Mapping:
+        """Each world's bit. Read it, do not change it."""
+        return self._bit
+
+    def mask_of(self, worlds: Iterable[World]) -> int:
+        """The bitmask of ``worlds``, all worlds of the model."""
+        return sum(map(self._bit.__getitem__, worlds))
+
+    def members(self, mask: int) -> Iterable[World]:
+        """The worlds of ``mask``, in the checker's world order."""
+        # binary digits lowest bit first, as bytes 0/1 to select worlds by
+        return itertools.compress(self._worlds, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
 
     def sat_set(self, formula: Formula) -> frozenset:
         hit = self._sets.get(formula)
         if hit is None:
-            mask = self._mask(formula)
-            # binary digits lowest bit first, as bytes 0/1 to select worlds by
-            bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES) if mask else b""
-            hit = self._sets[formula] = frozenset(itertools.compress(self._worlds, bits))
+            hit = self._sets[formula] = frozenset(self.members(self.mask(formula)))
         return hit
+
+    def run(self, plan: Plan) -> list:
+        """The masks of ``plan``'s roots, in root order; the first call per
+        plan runs it, later ones return the same list."""
+        hit = self._runs.get(plan)
+        if hit is None:
+            hit = self._runs[plan] = self._run(plan)
+        return hit
+
+    def _run(self, plan: Plan) -> list:
+        full = self._full
+        classes = self._blocks
+        for agent in plan.agents:
+            if agent not in classes:
+                classes[agent] = list(map(self.mask_of, self.model.relation(agent).blocks()))
+        if self._masks:
+            # the memoized masks, and None for each step still to run; the
+            # loop reads a step's flag before it fills the step's slot
+            masks = list(map(self._masks.get, plan.nodes))
+            steps = itertools.compress(plan.steps, map(is_, masks, itertools.repeat(None)))
+        else:  # nothing memoized: every step runs
+            masks = [None] * len(plan.steps)
+            steps = plan.steps
+        for slot, op, x, y in steps:
+            if op == _AND_NOT:
+                masks[slot] = masks[x] & ~masks[y]
+            elif op == _NOR:
+                masks[slot] = full ^ (masks[x] | masks[y])
+            elif op == _BOX_NOT or op == _BOX:
+                # clear each class that meets the worlds failing the inner formula
+                out = masks[y] if op == _BOX_NOT else full ^ masks[y]
+                value = full ^ out
+                for block in classes[x]:
+                    if out & block:
+                        value &= ~block
+                masks[slot] = value
+            elif op == _AND:
+                masks[slot] = masks[x] & masks[y]
+            elif op == _ATOM:
+                masks[slot] = self.mask_of(self.model.valuation)
+            else:
+                masks[slot] = full
+        self._masks.update(zip(plan.nodes, masks))
+        roots = [masks[slot] ^ full if negated else masks[slot] for slot, negated in plan.outputs]
+        self._masks.update(zip(plan.roots, roots))
+        return roots
 
     def component(self) -> frozenset:
         """Worlds reachable from the point under the union of all relations,
@@ -632,37 +783,6 @@ class Evaluator:
                                 frontier.append(other)
             self._component = frozenset(seen)
         return self._component
-
-    def _mask(self, formula: Formula) -> int:
-        hit = self._masks.get(formula)
-        if hit is not None:
-            return hit
-        kind = type(formula)
-        if kind is And:
-            value = self._mask(formula.left) & self._mask(formula.right)
-        elif kind is Not:
-            value = self._full ^ self._mask(formula.sub)
-        elif kind is Box:
-            value = inner = self._mask(formula.sub)
-            for block in self._blocks_of(formula.agent):
-                if inner & block != block:
-                    value &= ~block
-        elif kind is Atom:
-            value = sum(map(self._bit.__getitem__, self.model.valuation))
-        elif kind is Top:
-            value = self._full
-        else:
-            raise TypeError(f"not a formula: {formula!r}")
-        self._masks[formula] = value
-        return value
-
-    def _blocks_of(self, agent: Agent) -> list:
-        blocks = self._blocks.get(agent)
-        if blocks is None:
-            bit = self._bit
-            blocks = [sum(map(bit.__getitem__, b)) for b in self.model.relation(agent).blocks()]
-            self._blocks[agent] = blocks
-        return blocks
 
 
 def eval_formula(model: PointedKripkeModel, world: World, formula: Formula) -> bool:

@@ -59,7 +59,8 @@ class ModelStats(Value):
 
 def model_stats(model: PointedKripkeModel) -> ModelStats:
     component = component_of_point(model)
-    cells = len(component & Evaluator.of(model).sat_set(cell_formula()))
+    ev = Evaluator.of(model)
+    cells = (ev.mask(cell_formula()) & ev.mask_of(component)).bit_count()
     return ModelStats(len(model.worlds), len(component), cells, len(model.worlds) - len(component))
 
 
@@ -186,6 +187,11 @@ def _steps(spec, initial, max_steps, mode, reencode, padding, compiled):
         raise ValueError("max_steps must be >= 0")
     if compiled is None:
         compiled = compile_program(spec, mode)
+    elif compiled.machine != spec.name or compiled.growth_mode != mode:
+        raise ValueError(
+            f"program compiled for machine {compiled.machine!r} in mode {compiled.growth_mode!r},"
+            f" not for machine {spec.name!r} in mode {mode!r}"
+        )
     program = compiled.program
     states = tuple(spec.states)
 

@@ -53,32 +53,43 @@ def model_pairs(model):
     return {agent: set(rel.pairs()) for agent, rel in model.relations.items()}
 
 
-def brute_eval(worlds, pairs_by_agent, valuation, world, formula):
+def brute_eval(worlds, pairs_by_agent, valuation, world, formula, memo=None):
+    """Truth of ``formula`` at ``world``, by the definitions over raw pair
+    sets. A ``memo`` dict, when given, keeps each (world, formula) truth
+    found, so each subformula is judged once per world."""
+    if memo is not None and (world, formula) in memo:
+        return memo[world, formula]
     if isinstance(formula, Top):
-        return True
-    if isinstance(formula, Atom):
-        return world in valuation
-    if isinstance(formula, Not):
-        return not brute_eval(worlds, pairs_by_agent, valuation, world, formula.sub)
-    if isinstance(formula, And):
-        return brute_eval(
-            worlds, pairs_by_agent, valuation, world, formula.left
-        ) and brute_eval(worlds, pairs_by_agent, valuation, world, formula.right)
-    if isinstance(formula, Box):
+        value = True
+    elif isinstance(formula, Atom):
+        value = world in valuation
+    elif isinstance(formula, Not):
+        value = not brute_eval(worlds, pairs_by_agent, valuation, world, formula.sub, memo)
+    elif isinstance(formula, And):
+        value = brute_eval(
+            worlds, pairs_by_agent, valuation, world, formula.left, memo
+        ) and brute_eval(worlds, pairs_by_agent, valuation, world, formula.right, memo)
+    elif isinstance(formula, Box):
         successors = [t for (s, t) in pairs_by_agent[formula.agent] if s == world]
-        return all(
-            brute_eval(worlds, pairs_by_agent, valuation, t, formula.sub)
+        value = all(
+            brute_eval(worlds, pairs_by_agent, valuation, t, formula.sub, memo)
             for t in successors
         )
-    raise TypeError(formula)
+    else:
+        raise TypeError(formula)
+    if memo is not None:
+        memo[world, formula] = value
+    return value
 
 
-def brute_sat_set(model, formula):
+def brute_sat_set(model, formula, memo=None):
+    """The worlds where ``formula`` holds, judged world by world; pass one
+    ``memo`` dict to several calls on one model to share its truths."""
     pairs = model_pairs(model)
     return frozenset(
         w
         for w in model.worlds
-        if brute_eval(model.worlds, pairs, model.valuation, w, formula)
+        if brute_eval(model.worlds, pairs, model.valuation, w, formula, memo)
     )
 
 

@@ -19,8 +19,10 @@ from epimachine.logic import (
     Box,
     EquivRelation,
     Evaluator,
+    Formula,
     FormulaSyntaxError,
     Not,
+    Plan,
     PointedKripkeModel,
     box,
     closure,
@@ -381,6 +383,45 @@ def test_bitmask_checker_matches_bruteforce(rng, formulas):
         for world in model.worlds:
             assert ev.check(world, formula) == (world in expected)
             assert eval_formula(model, world, formula) == (world in expected)
+
+
+def _negated(formula, count):
+    for _ in range(count):
+        formula = Not(formula)
+    return formula
+
+
+@given(
+    st.randoms(use_true_random=False),
+    st.lists(
+        st.tuples(st.one_of(formula_strategy, st.sampled_from([TOP, P])), st.integers(0, 3)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@settings(max_examples=200)
+def test_one_plan_of_many_roots_matches_bruteforce(rng, drawn):
+    """Each root is wrapped in 0-3 extra negations, and Top and p stand under
+    negation as roots of their own; later one-off questions to the same
+    checker, about the roots and every node inside them, agree too."""
+    roots = [_negated(formula, count) for formula, count in drawn]
+    roots += [Not(TOP), Not(Not(Not(P)))]
+    model = random_partition_model(rng, AGENTS, fragments=rng.randint(1, 3))
+    ev = Evaluator(model)
+    memo: dict = {}
+    for root, mask in zip(roots, ev.run(Plan(roots))):
+        assert frozenset(ev.members(mask)) == brute_sat_set(model, root, memo)
+    nodes = list(roots)
+    for node in nodes:
+        nodes += [value for value in vars(node).values() if isinstance(value, Formula)]
+    for node in nodes:
+        expected = brute_sat_set(model, node, memo)
+        assert ev.sat_set(node) == expected
+        assert all(ev.check(world, node) == (world in expected) for world in model.worlds)
+    # new formulas over the roots run plans whose memoized steps are skipped
+    for left, right in zip(roots, roots[1:] + roots[:1]):
+        for node in (And(left, Not(right)), Box(rng.choice(AGENTS), Not(left)), disj(left, right)):
+            assert ev.sat_set(node) == brute_sat_set(model, node, memo)
 
 
 @given(st.randoms(use_true_random=False), st.integers(1, 12))

@@ -1,0 +1,90 @@
+"""Evaluation plans: every root of a plan, run once per model, against the
+brute-force checker, and the mechanism that makes a plan cheap."""
+
+import pytest
+
+from epimachine import logic
+from epimachine.codec import component_of_point
+from epimachine.logic import And, Atom, Box, Evaluator, Not, Plan, Top, restricted_model
+from epimachine.program import GROWTH_MODES, compile_program
+from epimachine.runner import emulate
+
+from helpers import brute_sat_set, load
+
+CORPUS = ("flip", "increment", "bb2", "bb3", "march", "bb4")
+
+
+# Above this many worlds only the point's component is judged by brute
+# force: in faithful mode without re-encoding the model doubles each step
+# (8216 worlds at step 12), and the component, a generated submodel, gives
+# every world in it the truths it has in the whole model.
+BRUTE_WORLDS = 300
+
+
+@pytest.mark.parametrize("reencode", [False, True])
+@pytest.mark.parametrize("mode", GROWTH_MODES)
+@pytest.mark.parametrize("name", CORPUS)
+def test_program_plan_matches_bruteforce_on_every_step_model(name, mode, reencode):
+    spec, initial = load(name)
+    compiled = compile_program(spec, mode)
+    plan = compiled.program.plan
+    assert set(plan.roots) == set(compiled.program.pre.values())
+    trace = emulate(spec, initial, 12, mode=mode, reencode=reencode, compiled=compiled)
+    for entry in trace.entries:
+        model = entry.model
+        judged = model
+        if len(model.worlds) > BRUTE_WORLDS:
+            judged = restricted_model(model, component_of_point(model))
+        ev = Evaluator(model)
+        memo: dict = {}
+        for root, mask in zip(plan.roots, ev.run(plan)):
+            expected = brute_sat_set(judged, root, memo)
+            assert frozenset(ev.members(mask)) & judged.worlds == expected, (entry.index, root)
+
+
+def _dag_nodes(roots):
+    seen = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen[node] = None
+            stack += [value for value in vars(node).values() if isinstance(value, logic.Formula)]
+    return seen
+
+
+def test_bb4_plan_has_one_step_per_distinct_node_that_is_not_a_negation():
+    spec, _ = load("bb4")
+    program = compile_program(spec).program
+    nodes = _dag_nodes(program.pre.values())
+    expected = sum(type(node) in (And, Box, Atom, Top) for node in nodes)
+    assert expected == 221
+    assert len(program.plan.steps) == expected
+    assert len(nodes) - expected == sum(type(node) is Not for node in nodes)
+    assert program.plan is program.plan
+
+
+def test_negations_fold_into_operands():
+    inner = Box(logic.TAPE_A, logic.P)
+    plan = Plan((Not(Not(Not(inner))), inner, Not(logic.TOP)))
+    assert [type(node) for node in plan.nodes] == [Atom, Box, Top]
+    assert plan.outputs == ((1, True), (1, False), (2, True))
+
+
+def test_no_checker_runs_a_plan_twice(monkeypatch):
+    runs = []
+    original = Evaluator._run
+
+    def counting_run(self, plan):
+        runs.append((self, plan))  # holds both, so their ids stay unique
+        return original(self, plan)
+
+    monkeypatch.setattr(Evaluator, "_run", counting_run)
+    spec, initial = load("bb2")
+    program = compile_program(spec)
+    trace = emulate(spec, initial, 8, compiled=program)
+    pairs = [(id(ev), id(plan)) for ev, plan in runs]
+    assert len(pairs) == len(set(pairs))
+    # the checker of each step's model runs the program's plan
+    checkers = [ev for ev, plan in runs if plan is program.program.plan]
+    assert [id(ev.model) for ev in checkers] == [id(entry.model) for entry in trace.entries]

@@ -599,3 +599,15 @@ def test_cli_emulate_refuses_an_unwritable_output_before_the_first_step(tmp_path
     # a directory in place of the file is refused the same way
     assert main(["emulate", march_path, "--steps", "300", option, str(tmp_path)]) == 2
     assert "step 0" not in capsys.readouterr().out
+
+
+def test_emulate_refuses_a_program_compiled_for_another_run():
+    spec, initial = load("march")
+    # a repaired program in a faithful run would pass for faithful
+    with pytest.raises(ValueError, match="machine 'march' in mode 'repaired'.*mode 'faithful'"):
+        emulate(spec, initial, 10, mode="faithful", compiled=compile_program(spec))
+    # march's program in a run of bb2 would fail deep in the checker
+    other, start = load("bb2")
+    run = runner._steps(other, start, 10, "repaired", False, DEFAULT_PADDING, compile_program(spec))
+    with pytest.raises(ValueError, match="machine 'march' .* not for machine 'bb2'"):
+        next(run)

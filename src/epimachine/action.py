@@ -9,6 +9,7 @@ most one of them may apply at the source point.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Iterable, Mapping
 
@@ -164,21 +165,24 @@ def product_update(
             else:
                 children[parent] = [child]
     universe = frozenset(world for kids in children.values() for _, world in kids)
-    branching = [(parent, kids) for parent, kids in children.items() if len(kids) > 1]
+    branching = [parent for parent, kids in children.items() if len(kids) > 1]
 
     # (w,a) ~i (v,b) iff w ~i v and a ~i b, so two product worlds share a
     # class of two or more only if their parents share a block, or they are
-    # children of one parent by two actions of one program block.
+    # children of one parent by two actions of one program block: one pass
+    # over the model's blocks, then over each branching parent alone in its
+    # class, groups the children by (class, program block or lone action).
+    # Program block positions are ints and action ids strings, so the keys
+    # never clash.
     relations = {}
     for agent in model.agents:
         model_relation = model.relations[agent]
         model_index = model_relation.index
         action_block = program.relations[agent].index.get
-        # keyed by (model block, program block or lone action); block
-        # positions are ints and action ids strings, so the keys never clash
+        lone = [(parent,) for parent in branching if parent not in model_index]
         groups: dict = {}
-        for i, block in enumerate(model_relation.blocks()):
-            for parent in block:
+        for i, cls in enumerate(itertools.chain(model_relation.blocks(), lone)):
+            for parent in cls:
                 for action, world in children.get(parent, ()):
                     key = (i, action_block(action, action))
                     if key in groups:
@@ -186,14 +190,6 @@ def product_update(
                     else:
                         groups[key] = [world]
         blocks = [group for group in groups.values() if len(group) > 1]
-        for parent, kids in branching:
-            if parent not in model_index:
-                siblings: dict = {}
-                for action, world in kids:
-                    j = action_block(action)
-                    if j is not None:
-                        siblings.setdefault(j, []).append(world)
-                blocks += [group for group in siblings.values() if len(group) > 1]
         relations[agent] = EquivRelation.from_blocks(universe, blocks)
 
     valuation = frozenset(

@@ -19,7 +19,6 @@ exactly.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from ._value import Value, _set
@@ -29,12 +28,12 @@ from .logic import (
     TAPE_B,
     EquivRelation,
     Evaluator,
-    Plan,
     PointedKripkeModel,
+    plan_of,
     state_agent,
     world_label,
 )
-from .machine import HALTED, MAX_SPAN, FiniteConfiguration, Halted
+from .machine import HALTED, MAX_SPAN, FiniteConfiguration
 from .program import cell_formula, digit_formula, head_formula, leftmost_formula, rightmost_formula
 
 DEFAULT_PADDING = 5
@@ -147,48 +146,16 @@ def component_of_point(model: PointedKripkeModel) -> frozenset:
     return Evaluator.of(model).component()
 
 
-class TapeReading(Value):
-    """Successful structural analysis of the point's component."""
-
-    _fields = ("component", "chain", "positions", "head_position", "head_state", "ones")
-
-    def __init__(
-        self,
-        component: frozenset,
-        chain: tuple,
-        positions: Mapping[object, int],
-        head_position: int,
-        head_state: str,
-        ones: tuple[int, ...],
-    ):
-        _set(self, "component", component)
-        _set(self, "chain", chain)
-        _set(self, "positions", positions)
-        _set(self, "head_position", head_position)
-        _set(self, "head_state", head_state)
-        _set(self, "ones", ones)
-
-    def config(self) -> FiniteConfiguration:
-        lo = self.positions[self.chain[0]]
-        hi = self.positions[self.chain[-1]]
-        marks = set(self.ones)
-        tape = tuple(1 if j in marks else 0 for j in range(lo, hi + 1))
-        return FiniteConfiguration((lo, hi), tape, self.head_position, self.head_state)
-
-
-@lru_cache(maxsize=64)
-def _decoder_plan(states: tuple[str, ...]) -> Plan:
-    """The plan of the cell, leftmost, rightmost and digit-1 formulas, then
-    the head formula of each state."""
-    fixed = (cell_formula(), leftmost_formula(), rightmost_formula(), digit_formula(1))
-    return Plan(fixed + tuple(map(head_formula, states)))
-
-
 def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
+    """Read the point's component as a tape: Malformed, HALTED, or the
+    decoded configuration, each chain cell's position in chain order, and
+    the component."""
     component = component_of_point(model)
     ev = Evaluator.of(model)
     bits = ev.bits
-    cell, leftmost, rightmost, one, *heads = ev.run(_decoder_plan(states))
+    fixed = (cell_formula(), leftmost_formula(), rightmost_formula(), digit_formula(1))
+    plan = plan_of(fixed + tuple(map(head_formula, states)))
+    cell, leftmost, rightmost, one, *heads = ev.run(plan)
     cells = cell & ev.mask_of(component)
     if not cells & bits[model.point]:
         return Malformed("point is not a cell")
@@ -239,8 +206,12 @@ def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
     head_state, head = heads[0]
     (head_cell,) = ev.members(head)
 
-    ones = tuple(sorted(map(positions.__getitem__, ev.members(cells & one))))
-    return TapeReading(component, tuple(chain), positions, positions[head_cell], head_state, ones)
+    ones = cells & one
+    symbols = tuple(1 if bits[w] & ones else 0 for w in chain)
+    config = FiniteConfiguration(
+        (-anchor, len(chain) - 1 - anchor), symbols, positions[head_cell], head_state
+    )
+    return config, positions, component
 
 
 def decode(model: PointedKripkeModel, states: Sequence[str]):
@@ -251,9 +222,7 @@ def decode(model: PointedKripkeModel, states: Sequence[str]):
     broken. Worlds outside the point's component never matter.
     """
     reading = _analyze(model, tuple(states))
-    if isinstance(reading, (Halted, Malformed)):
-        return reading
-    return reading.config()
+    return reading[0] if isinstance(reading, tuple) else reading
 
 
 def validate_encoding(model: PointedKripkeModel, states: Sequence[str]) -> tuple[bool, str]:
@@ -271,46 +240,41 @@ def validate_encoding(model: PointedKripkeModel, states: Sequence[str]) -> tuple
     if reading is HALTED:
         return False, "no head world"
 
-    config = reading.config()
+    config, positions, component = reading
     lo, hi = config.window
+    ones = config.one_positions()
     expected, exp_cells, exp_symbols, exp_head = _build_tape_model(
-        lo, hi, reading.ones, reading.head_position, reading.head_state, states
+        lo, hi, ones, config.head, config.state, states
     )
 
-    mapping = {}
-    for world, position in reading.positions.items():
-        mapping[world] = exp_cells[position]
-
-    for position in reading.ones:
-        cell = reading.chain[position - lo]
-        partners = model.relations[SYMBOL].class_of(cell) - {cell}
-        partners -= set(reading.positions)
+    mapping = {world: exp_cells[position] for world, position in positions.items()}
+    chain = tuple(positions)
+    for position in ones:
+        cell = chain[position - lo]
+        partners = model.relations[SYMBOL].class_of(cell).difference(positions)
         if len(partners) != 1:
             return False, f"symbol attachment at position {position} is not a single world"
         mapping[next(iter(partners))] = exp_symbols[position]
 
-    head_cell = reading.chain[reading.head_position - lo]
-    head_rel = model.relations[state_agent(reading.head_state)]
+    head_cell = chain[config.head - lo]
+    head_rel = model.relations[state_agent(config.state)]
     head_partners = head_rel.class_of(head_cell) - {head_cell}
     if len(head_partners) != 1:
         return False, "head attachment is not a single world"
     mapping[next(iter(head_partners))] = exp_head
 
-    if set(mapping) != set(reading.component):
-        return False, (
-            f"component has {len(reading.component)} worlds, "
-            f"expected {len(mapping)}"
-        )
+    if mapping.keys() != component:
+        return False, f"component has {len(component)} worlds, expected {len(mapping)}"
 
     if model.agents != expected.agents:
         return False, "agent universe mismatch"
     for agent in model.agents:
-        actual = model.relations[agent].restricted(reading.component)
+        actual = model.relations[agent].restricted(component)
         image = {frozenset(mapping[w] for w in cls) for cls in actual.classes()}
         if image != set(expected.relations[agent].classes()):
             return False, f"relation {agent.token} differs from the encoding"
 
-    actual_valuation = {mapping[w] for w in reading.component & model.valuation}
+    actual_valuation = {mapping[w] for w in component & model.valuation}
     if actual_valuation != set(expected.valuation):
         return False, "valuation differs from the encoding"
     if mapping[model.point] != expected.point:

@@ -651,9 +651,7 @@ class Evaluator:
     checker, recognizing it by identity.
     """
 
-    __slots__ = (
-        "model", "_worlds", "_bit", "_full", "_masks", "_sets", "_runs", "_blocks", "_component"
-    )
+    __slots__ = ("model", "_worlds", "_bit", "_full", "_masks", "_runs", "_blocks", "_component")
     _last: "Evaluator | None" = None
 
     def __init__(self, model: PointedKripkeModel):
@@ -662,7 +660,6 @@ class Evaluator:
         self._bit = {w: 1 << k for k, w in enumerate(self._worlds)}
         self._full = (1 << len(self._worlds)) - 1
         self._masks: dict = {}
-        self._sets: dict = {}
         self._runs: dict = {}  # plan -> its roots' masks
         self._blocks: dict = {}  # agent -> masks of its classes of two or more worlds
         self._component = None
@@ -706,10 +703,7 @@ class Evaluator:
         return itertools.compress(self._worlds, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
 
     def sat_set(self, formula: Formula) -> frozenset:
-        hit = self._sets.get(formula)
-        if hit is None:
-            hit = self._sets[formula] = frozenset(self.members(self.mask(formula)))
-        return hit
+        return frozenset(self.members(self.mask(formula)))
 
     def run(self, plan: Plan) -> list:
         """The masks of ``plan``'s roots, in root order; the first call per
@@ -759,28 +753,25 @@ class Evaluator:
 
     def component(self) -> frozenset:
         """Worlds reachable from the point under the union of all relations,
-        walked once per checker; the walk enters each (relation, class) pair
-        at most once."""
+        walked once per checker through each relation's own index; the walk
+        enters each class of two or more worlds at most once."""
         if self._component is None:
-            links: dict = {}  # world -> its classes of two or more worlds
-            for relation in self.model.relations.values():
-                for block in relation.blocks():
-                    for world in block:
-                        if world in links:
-                            links[world].append(block)
-                        else:
-                            links[world] = [block]
+            # per relation with a block: its index, and its blocks with each
+            # entered one replaced by an empty tuple
+            relations = [
+                (r.index, list(r.blocks())) for r in self.model.relations.values() if r.index
+            ]
             seen = {self.model.point}
             frontier = [self.model.point]
-            entered = set()
             for world in frontier:
-                for cls in links.get(world, ()):
-                    if cls not in entered:
-                        entered.add(cls)
-                        for other in cls:
+                for index, blocks in relations:
+                    if world in index:
+                        i = index[world]
+                        for other in blocks[i]:
                             if other not in seen:
                                 seen.add(other)
                                 frontier.append(other)
+                        blocks[i] = ()
             self._component = frozenset(seen)
         return self._component
 

@@ -282,10 +282,10 @@ def parse_machine(text: str) -> tuple[MachineSpec, FiniteConfiguration]:
         elif key == "head":
             if len(tokens) != 2:
                 fail("expected: head <integer>", lineno)
-            try:
-                head = int(tokens[1])
-            except ValueError:
+            digits = tokens[1].removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
                 fail(f"malformed head position {tokens[1]!r}", lineno)
+            head = int(tokens[1])
             head_line = lineno
         else:
             fail(f"unknown directive {key!r}", lineno)

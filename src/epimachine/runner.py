@@ -394,7 +394,8 @@ def _describe(value) -> str:
 def _cmd_emulate(args) -> int:
     """Print each step, and write its DOT file, as the step is built; the
     trace keeps each step's JSON record, not its model, until the run ends.
-    The files written after the run are checked before it starts."""
+    The files written after the run are checked before it starts, and the
+    DOT directory is made once step 0 is built."""
     spec, initial = load_machine(args.machine)
     compiled = compile_program(spec, args.mode)
     for path in [Path(target) for target in (args.trace, args.emit_program) if target]:
@@ -403,11 +404,11 @@ def _cmd_emulate(args) -> int:
         if path.is_dir():
             raise IsADirectoryError(f"cannot write {path}: it is a directory")
     directory = Path(args.dot_dir) if args.dot_dir else None
-    if directory:
-        directory.mkdir(parents=True, exist_ok=True)
     records = []
     run = _steps(spec, initial, args.steps, args.mode, args.reencode, args.padding, compiled)
     for entry in run:
+        if directory and not entry.index:
+            directory.mkdir(parents=True, exist_ok=True)
         flag = "ok" if entry.match else "MISMATCH"
         print(
             f"step {entry.index}: {_describe(entry.decoded)} | oracle {_describe(entry.oracle)}"

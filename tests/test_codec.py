@@ -32,7 +32,9 @@ from epimachine.program import (
     rightmost_formula,
 )
 
-from helpers import brute_component, brute_sat_set, random_config, random_partition_model
+from epimachine.runner import emulate
+
+from helpers import brute_component, brute_sat_set, load, random_config, random_partition_model
 
 
 def test_ceil_even_examples():
@@ -307,3 +309,22 @@ def test_encode_refuses_an_oversized_span(flip_machine):
     far = FiniteConfiguration((MAX_SPAN - 2, MAX_SPAN), (0, 0, 0), MAX_SPAN - 1, spec.start)
     with pytest.raises(ValueError, match=f"cell span {MAX_SPAN + 5} exceeds"):
         encode(far, spec.states)
+
+
+CORPUS = ("flip", "increment", "bb2", "bb3", "march", "bb4")
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_validate_encoding_holds_iff_decode_gives_a_configuration(name):
+    """On every step model of a corpus run, product models included, the
+    point's component is an exact encoding iff it decodes to a
+    configuration. Faithful runs double the model every step, so they stop
+    at 8 steps."""
+    spec, initial = load(name)
+    runs = [("repaired", False, 40), ("repaired", True, 40), ("faithful", False, 8)]
+    for mode, reencode, steps in runs:
+        for entry in emulate(spec, initial, steps, mode=mode, reencode=reencode).entries:
+            valid, reason = validate_encoding(entry.model, spec.states)
+            decoded = decode(entry.model, spec.states)
+            assert valid == isinstance(decoded, FiniteConfiguration), (mode, reencode, entry.index)
+            assert valid or reason != "ok"

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -63,6 +64,20 @@ def test_parse_far_head_with_input_refused_before_the_window(head):
 def test_parse_head_at_the_span_limit_with_input():
     _, initial = parse_machine(f"machine m\nstates s\nstart s\ninput 1\nhead {MAX_SPAN}\n")
     assert initial.window == (0, MAX_SPAN)
+
+
+@pytest.mark.parametrize("token", ["0", "7", "-3", "007", "-0"])
+def test_parse_head_takes_a_minus_and_ascii_digits(token):
+    _, initial = parse_machine(f"machine m\nstates s\nstart s\nhead {token}\n")
+    assert initial.head == int(token)
+
+
+@pytest.mark.parametrize("token", ["1_0", "+2", "\u0663", "-", "--1", "1-", "0x1", "1e2", "\u00b2"])
+def test_parse_head_refuses_other_integer_spellings(token):
+    text = f"machine m\nstates s\nstart s\nhead {token}\n"
+    message = f"line 4: malformed head position {token!r}"
+    with pytest.raises(MachineFormatError, match=re.escape(message)):
+        parse_machine(text)
 
 
 def test_parse_comments_and_blank_lines():

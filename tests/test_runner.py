@@ -601,6 +601,16 @@ def test_cli_emulate_refuses_an_unwritable_output_before_the_first_step(tmp_path
     assert "step 0" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("option", [["--steps", "-1"], ["--padding", "4"]])
+def test_cli_emulate_refused_before_step_0_makes_no_dot_dir(tmp_path, capsys, option):
+    dot_dir = tmp_path / "dots"
+    argv = ["emulate", str(MACHINE_DIR / "march.tm"), *option, "--dot-dir", str(dot_dir)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "step 0" not in captured.out and captured.err.startswith("error: ")
+    assert not dot_dir.exists()
+
+
 def test_emulate_refuses_a_program_compiled_for_another_run():
     spec, initial = load("march")
     # a repaired program in a faithful run would pass for faithful

@@ -77,11 +77,21 @@ class EpistemicProgram(Value):
     def plan(self) -> Plan:
         """The plan whose roots are the distinct preconditions, in action
         order; programs with the same preconditions share it."""
-        plan = self.__dict__.get("_plan")
-        if plan is None:
-            plan = plan_of(tuple(dict.fromkeys(map(self.pre.__getitem__, self.actions))))
-            _set(self, "_plan", plan)
-        return plan
+        return self._layout()[0]
+
+    def _layout(self) -> tuple:
+        """``plan``, each root's actions, and each designated action in id
+        order with its root's position."""
+        layout = self.__dict__.get("_plan_layout")
+        if layout is None:
+            by_root: dict = {}  # precondition -> its actions, in action order
+            for action in self.actions:
+                by_root.setdefault(self.pre[action], []).append(action)
+            position = {root: i for i, root in enumerate(by_root)}
+            designated = tuple((a, position[self.pre[a]]) for a in sorted(self.designated))
+            layout = (plan_of(tuple(by_root)), tuple(map(tuple, by_root.values())), designated)
+            _set(self, "_plan_layout", layout)
+        return layout
 
 
 def build_program(
@@ -130,9 +140,11 @@ def applicable_designated(
 ) -> list[str]:
     """Designated actions whose precondition holds at the point, in action-id
     order. Length 1 means the update is defined and deterministic here."""
+    plan, _, designated = program._layout()
     ev = Evaluator.of(model)
-    ev.run(program.plan)
-    return [a for a in sorted(program.designated) if ev.check(model.point, program.pre[a])]
+    masks = ev.run(plan)
+    point = ev.bits[model.point]
+    return [action for action, i in designated if masks[i] & point]
 
 
 def product_update(
@@ -155,15 +167,18 @@ def product_update(
 
     ev = Evaluator.of(model)
     children: dict = {}  # parent world -> (action, child) per precondition it satisfies
-    plan = program.plan
-    masks = dict(zip(plan.roots, ev.run(plan)))
-    for action in program.actions:
-        for parent in ev.members(masks[program.pre[action]]):
-            child = (action, (parent if names is None else names[parent], action))
-            if parent in children:
-                children[parent].append(child)
-            else:
-                children[parent] = [child]
+    plan, root_actions, _ = program._layout()
+    for mask, actions in zip(ev.run(plan), root_actions):
+        if not mask:
+            continue
+        parents = list(ev.members(mask))
+        for action in actions:
+            for parent in parents:
+                child = (action, (parent if names is None else names[parent], action))
+                if parent in children:
+                    children[parent].append(child)
+                else:
+                    children[parent] = [child]
     universe = frozenset(world for kids in children.values() for _, world in kids)
     branching = [parent for parent, kids in children.items() if len(kids) > 1]
 

@@ -206,8 +206,21 @@ def normalize(config: FiniteConfiguration) -> FiniteConfiguration:
 
 
 def configs_equivalent(left: FiniteConfiguration, right: FiniteConfiguration) -> bool:
-    """Same tape content, head position, and state, ignoring blank padding."""
-    return normalize(left) == normalize(right)
+    """Same tape content, head position, and state, ignoring blank padding:
+    ``normalize(left) == normalize(right)`` without building either."""
+    return (
+        left.head == right.head
+        and left.state == right.state
+        and left.one_positions() == right.one_positions()
+    )
+
+
+def integer(text: str) -> int:
+    """An optional ``-`` then ASCII digits, unlike ``int``."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"malformed integer {text!r}")
+    return int(text)
 
 
 def parse_machine(text: str) -> tuple[MachineSpec, FiniteConfiguration]:
@@ -282,10 +295,10 @@ def parse_machine(text: str) -> tuple[MachineSpec, FiniteConfiguration]:
         elif key == "head":
             if len(tokens) != 2:
                 fail("expected: head <integer>", lineno)
-            digits = tokens[1].removeprefix("-")
-            if not (digits.isascii() and digits.isdigit()):
+            try:
+                head = integer(tokens[1])
+            except ValueError:
                 fail(f"malformed head position {tokens[1]!r}", lineno)
-            head = int(tokens[1])
             head_line = lineno
         else:
             fail(f"unknown directive {key!r}", lineno)

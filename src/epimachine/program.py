@@ -301,9 +301,18 @@ def compile_program(spec: MachineSpec, growth_mode: str = "repaired") -> Compile
     one machine step: the designated cell actions copy the tape, the grow
     actions lengthen it, the copy action moves the symbols, and the
     write/mount actions realize the applicable transition.
+
+    The result is kept on the spec, outside its fields, and returned again.
     """
     if growth_mode not in GROWTH_MODES:
         raise ValueError(f"growth_mode must be one of {GROWTH_MODES}")
+    compiled = spec.__dict__.setdefault("_compiled", {})
+    if growth_mode not in compiled:
+        compiled[growth_mode] = _compile(spec, growth_mode)
+    return compiled[growth_mode]
+
+
+def _compile(spec: MachineSpec, growth_mode: str) -> CompiledProgram:
     states = tuple(spec.states)
     agents = agent_universe(states)
 

@@ -14,6 +14,10 @@ ones the next update would choose from. ``emulate`` keeps every step;
 ``emulate`` command prints and writes each step as it comes, so both hold
 one step's model at a time.
 
+A run reuses the program ``compile_program`` keeps on the spec, and reads
+the stats of each encoding off the encoder (``encoded_stats``), so a
+re-encoded step walks one component: the product model's, in its decode.
+
 Product worlds are ``(parent, action)`` pairs. From step 2 on the loop passes
 the update a name for each parent: its index k among the step's sorted
 worlds (its position among that step's DOT nodes). The update then builds
@@ -32,13 +36,14 @@ from pathlib import Path
 
 from ._value import Value, _set
 from .action import DeterminismViolation, applicable_designated, product_update
-from .codec import DEFAULT_PADDING, Malformed, component_of_point, decode, encode
+from .codec import DEFAULT_PADDING, EncodedModel, Malformed, component_of_point, decode, encode
 from .logic import Evaluator, PointedKripkeModel, sorted_worlds, world_label
 from .machine import (
     HALTED,
     FiniteConfiguration,
     MachineSpec,
     configs_equivalent,
+    integer,
     normalize,
     parse_machine,
     run_oracle,
@@ -62,6 +67,13 @@ def model_stats(model: PointedKripkeModel) -> ModelStats:
     ev = Evaluator.of(model)
     cells = (ev.mask(cell_formula()) & ev.mask_of(component)).bit_count()
     return ModelStats(len(model.worlds), len(component), cells, len(model.worlds) - len(component))
+
+
+def encoded_stats(encoded: EncodedModel) -> ModelStats:
+    """``model_stats`` of an encoding, which is one component by
+    construction."""
+    worlds = len(encoded.model.worlds)
+    return ModelStats(worlds, worlds, len(encoded.cells), 0)
 
 
 class StepEntry(Value):
@@ -198,7 +210,8 @@ def _steps(spec, initial, max_steps, mode, reencode, padding, compiled):
     # the checker slot is emptied however the run ends, also when the
     # consumer stops early or fails, so it keeps no model alive
     try:
-        model = encode(initial, states, padding).model
+        encoded = encode(initial, states, padding)
+        model = encoded.model
         oracle_state: object = initial
         # step 0 records the encoded start model; each later step first updates
         for index in range(max_steps + 1):
@@ -208,18 +221,20 @@ def _steps(spec, initial, max_steps, mode, reencode, padding, compiled):
                     # every world is a (name, action) or (k, action) pair
                     names = {w: k for k, w in enumerate(sorted(model.worlds, key=pair_sort_key))}
                 model = product_update(model, program, names)
+                encoded = None
                 if oracle_state is not HALTED:
                     oracle_state = step(spec, oracle_state)
             decoded = decode(model, states)
             if index and reencode and isinstance(decoded, FiniteConfiguration):
-                model = encode(normalize(decoded), states, padding).model
+                encoded = encode(normalize(decoded), states, padding)
+                model = encoded.model
 
             entry = StepEntry(
                 index,
                 decoded,
                 oracle_state,
                 tuple(applicable_designated(model, program)),
-                model_stats(model),
+                model_stats(model) if encoded is None else encoded_stats(encoded),
                 _entries_match(decoded, oracle_state),
                 model,
             )
@@ -245,8 +260,8 @@ def emulate(
     determinism violation, or the step cap; the trace says which. With
     ``reencode`` each decoded configuration is normalized and re-encoded
     before the next update, which discards detached worlds and re-pads.
-    ``compiled`` is the program of ``spec`` in ``mode`` when the caller has
-    already compiled it.
+    ``compiled`` is the program of ``spec`` in ``mode``, by default the one
+    ``compile_program`` keeps on the spec.
     """
     entries = list(_steps(spec, initial, max_steps, mode, reencode, padding, compiled))
     stop_reason, error = _stop_of(entries[-1], max_steps)
@@ -470,7 +485,7 @@ def main(argv=None) -> int:
 
     def add_common(p):
         p.add_argument("machine", help="machine description file")
-        p.add_argument("--steps", type=int, default=50, help="step cap (default 50)")
+        p.add_argument("--steps", type=integer, default=50, help="step cap (default 50)")
 
     def add_update_opts(p):
         p.add_argument(
@@ -487,7 +502,7 @@ def main(argv=None) -> int:
         )
         p.add_argument(
             "--padding",
-            type=int,
+            type=integer,
             default=DEFAULT_PADDING,
             help="blank cells beyond the even window bound (odd, default 5)",
         )

@@ -2,6 +2,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epimachine.machine import (
     HALTED,
@@ -10,6 +12,7 @@ from epimachine.machine import (
     MachineFormatError,
     MachineSpec,
     configs_equivalent,
+    integer,
     normalize,
     parse_machine,
     run_oracle,
@@ -282,3 +285,49 @@ def test_machine_spec_validation():
         MachineSpec("m", (), "q", None, {})
     with pytest.raises(ValueError):
         MachineSpec("m", ("q",), "q", "q", {("q", 1): ("q", 1, "H")})
+
+
+def _single_changes(config, rng):
+    """Configurations one change away: head one cell left or right (the
+    window widened to keep it), another state, or one cell flipped."""
+    lo, hi = config.window
+    tape = config.tape
+    for head in (config.head - 1, config.head + 1):
+        left, right = max(0, lo - head), max(0, head - hi)
+        yield FiniteConfiguration(
+            (lo - left, hi + right), (0,) * left + tape + (0,) * right, head, config.state
+        )
+    yield FiniteConfiguration(config.window, tape, config.head, config.state + "'")
+    k = rng.randrange(len(tape))
+    flipped = tape[:k] + (1 - tape[k],) + tape[k + 1 :]
+    yield FiniteConfiguration(config.window, flipped, config.head, config.state)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=200)
+def test_configs_equivalent_is_equality_after_normalizing(rng):
+    states = ("q", "r")
+    config = random_config(rng, states)
+    others = [config, padded_variant(rng, config), normalize(config), random_config(rng, states)]
+    others += _single_changes(config, rng)
+    others += _single_changes(padded_variant(rng, config), rng)
+    for left in (config, padded_variant(rng, config)):
+        for right in others:
+            expected = normalize(left) == normalize(right)
+            assert configs_equivalent(left, right) == expected, (left, right)
+            assert configs_equivalent(right, left) == expected, (left, right)
+    # each single change moves the head, the state or a cell's symbol
+    assert not any(configs_equivalent(config, other) for other in _single_changes(config, rng))
+
+
+@pytest.mark.parametrize("token", ["0", "7", "-3", "007", "-0", "10000000000000000000000"])
+def test_integer_takes_a_minus_and_ascii_digits(token):
+    assert integer(token) == int(token)
+
+
+@pytest.mark.parametrize(
+    "token", ["1_0", "+2", "\u0663", "-", "--1", "1-", "0x1", "1e2", "\u00b2", " 1", "1 ", ""]
+)
+def test_integer_refuses_other_spellings(token):
+    with pytest.raises(ValueError, match="malformed integer"):
+        integer(token)

@@ -439,3 +439,31 @@ def test_an_all_pairs_export_imports_to_equal_relations(source, mode):
     assert len(back.relation_pairs[TAPE_A]) > len(program.actions)
     assert back.relations == program.relations
     assert back.pre == program.pre and back.designated == program.designated
+
+
+@pytest.mark.parametrize("name", ["flip", "march", "bb4"])
+def test_a_spec_is_compiled_once_per_growth_mode(name):
+    spec, _ = load(name)
+    compiled = {mode: compile_program(spec, mode) for mode in GROWTH_MODES}
+    for mode in GROWTH_MODES:
+        assert compile_program(spec, mode) is compiled[mode]
+        assert compiled[mode].growth_mode == mode
+    assert compiled["repaired"] is not compiled["faithful"]
+    assert compiled["repaired"].program != compiled["faithful"].program
+    assert compile_program(spec) is compiled["repaired"]
+    # a fresh parse of the same file is compiled anew, to an equal program
+    fresh, _ = load(name)
+    for mode in GROWTH_MODES:
+        again = compile_program(fresh, mode)
+        assert again is not compiled[mode]
+        assert export_compiled(again) == export_compiled(compiled[mode])
+    # the kept programs are no fields: the spec compares and prints as before
+    assert fresh == spec
+    assert "_compiled" not in repr(spec)
+
+
+def test_an_unknown_growth_mode_is_refused_before_anything_is_kept():
+    spec, _ = load("flip")
+    with pytest.raises(ValueError, match="growth_mode"):
+        compile_program(spec, "wild")
+    assert "wild" not in vars(spec).get("_compiled", {})

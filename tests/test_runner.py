@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -27,6 +28,7 @@ from epimachine.machine import HALTED, FiniteConfiguration, parse_machine, run_o
 from epimachine.program import compile_program
 from epimachine.runner import (
     emulate,
+    encoded_stats,
     export_dot,
     export_trace_json,
     main,
@@ -34,7 +36,7 @@ from epimachine.runner import (
     verify_lockstep,
 )
 
-from helpers import MACHINE_DIR, blank, load, two_marks_config
+from helpers import MACHINE_DIR, blank, load, random_config, two_marks_config
 
 
 def test_emulate_one_step_matches_oracle(flip_machine):
@@ -621,3 +623,88 @@ def test_emulate_refuses_a_program_compiled_for_another_run():
     run = runner._steps(other, start, 10, "repaired", False, DEFAULT_PADDING, compile_program(spec))
     with pytest.raises(ValueError, match="machine 'march' .* not for machine 'bb2'"):
         next(run)
+
+
+def test_emulate_reuses_the_program_compiled_at_set_up(monkeypatch):
+    import epimachine.program
+
+    builds = []
+    original = epimachine.program.build_program
+
+    def counting_build(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(epimachine.program, "build_program", counting_build)
+    spec, initial = load("bb2")
+    compiled = compile_program(spec)
+    assert len(builds) == 1
+    builds.clear()
+    for reencode in (False, True):
+        assert emulate(spec, initial, 10, reencode=reencode).stop_reason == "halted"
+        assert verify_lockstep(spec, initial, 10, reencode=reencode).ok()
+    assert builds == []
+    assert compile_program(spec) is compiled
+    # another growth mode is compiled on its first run, and once
+    emulate(spec, initial, 3, mode="faithful")
+    emulate(spec, initial, 3, mode="faithful")
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("name", ("flip", "increment", "bb2", "bb3", "march"))
+@pytest.mark.parametrize("start", (two_marks_config, blank))
+def test_reencoded_steps_take_the_encoders_stats(name, start):
+    """Every re-encoded step (and step 0) reports the stats a fresh checker
+    finds on its model: one component, every world in it, and the encoder's
+    cells as the cell worlds."""
+    spec, _ = load(name)
+    trace = emulate(spec, start(spec), 30, reencode=True)
+    encodings = [
+        e for e in trace.entries if not e.index or isinstance(e.decoded, FiniteConfiguration)
+    ]
+    # all but a halted last step, whose product model is not re-encoded
+    assert len(encodings) == len(trace.entries) - (trace.stop_reason == "halted")
+    for entry in encodings:
+        Evaluator.release()
+        assert entry.stats == model_stats(entry.model), entry.index
+        assert entry.stats.detached == 0
+
+
+def test_encoder_stats_equal_model_stats_on_random_configurations():
+    rng = random.Random(14)
+    states = ("q0", "q1", "q2")
+    for padding in (3, 5, 9):
+        for _ in range(60):
+            encoded = encode(random_config(rng, states), states, padding)
+            Evaluator.release()
+            assert encoded_stats(encoded) == model_stats(encoded.model)
+
+
+def test_reencoded_steps_walk_one_component_each(monkeypatch):
+    walks = 0
+    original = Evaluator.component
+
+    def counting_component(self):
+        nonlocal walks
+        walks += self._component is None
+        return original(self)
+
+    monkeypatch.setattr(Evaluator, "component", counting_component)
+    spec, initial = load("bb2")
+    trace = emulate(spec, initial, 50, reencode=True)
+    assert len(trace.entries) == 8
+    # the decode of the start model and of each of the 7 updates; no
+    # re-encoded model is walked
+    assert walks == 8
+
+
+@pytest.mark.parametrize("option", ["--steps", "--padding"])
+@pytest.mark.parametrize("token", ["٣", "+5", "1_0", " 5", "5.0"])
+def test_cli_integers_take_the_head_lines_rule(capsys, option, token):
+    with pytest.raises(SystemExit) as caught:
+        main(["verify", str(MACHINE_DIR / "bb2.tm"), option, token])
+    assert caught.value.code == 2
+    assert f"argument {option}: invalid integer value" in capsys.readouterr().err
+    # a minus and ASCII digits still parse, to be judged by the run
+    assert main(["verify", str(MACHINE_DIR / "bb2.tm"), option, "7"]) == 0
+    assert main(["verify", str(MACHINE_DIR / "bb2.tm"), option, "-3"]) == 2

@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import weakref
-from operator import is_
 from typing import Hashable, Iterable, Mapping
 
 from ._value import Value, _set
@@ -585,26 +584,43 @@ class Plan:
         steps = []
         nodes = []  # the node of each slot
         agents: dict = {}  # the agents of the boxes, as keys
-
-        def operand(formula):
-            pair = operands.get(formula)
-            if pair is not None:
-                return pair
+        self.roots = tuple(roots)
+        # depth first with an explicit stack, left operand before right, so
+        # a node's step follows its operands' however deep the formula; a
+        # node stays on the stack until its operands are done
+        stack = list(reversed(self.roots))
+        while stack:
+            formula = stack[-1]
+            if formula in operands:
+                stack.pop()
+                continue
             kind = type(formula)
-            if kind is Not:
-                slot, negated = operand(formula.sub)
-                pair = operands[formula] = (slot, not negated)
-                return pair
             if kind is And:
-                (x, x_neg), (y, y_neg) = operand(formula.left), operand(formula.right)
+                left = operands.get(formula.left)
+                right = operands.get(formula.right)
+                if left is None or right is None:
+                    if right is None:
+                        stack.append(formula.right)
+                    if left is None:
+                        stack.append(formula.left)
+                    continue
+                (x, x_neg), (y, y_neg) = left, right
                 if x_neg and y_neg:
                     step = (_NOR, x, y)
                 elif x_neg or y_neg:
                     step = (_AND_NOT, y, x) if x_neg else (_AND_NOT, x, y)
                 else:
                     step = (_AND, x, y)
-            elif kind is Box:
-                y, y_neg = operand(formula.sub)
+            elif kind is Not or kind is Box:
+                sub = operands.get(formula.sub)
+                if sub is None:
+                    stack.append(formula.sub)
+                    continue
+                y, y_neg = sub
+                if kind is Not:
+                    operands[formula] = (y, not y_neg)
+                    stack.pop()
+                    continue
                 agents[formula.agent] = None
                 step = (_BOX_NOT if y_neg else _BOX, formula.agent, y)
             elif kind is Atom:
@@ -613,14 +629,13 @@ class Plan:
                 step = (_TOP, 0, 0)
             else:
                 raise TypeError(f"not a formula: {formula!r}")
+            stack.pop()
             slot = len(steps)
             steps.append((slot, *step))
             nodes.append(formula)
-            pair = operands[formula] = (slot, False)
-            return pair
+            operands[formula] = (slot, False)
 
-        self.roots = tuple(roots)
-        self.outputs = tuple(map(operand, self.roots))
+        self.outputs = tuple(map(operands.__getitem__, self.roots))
         self.steps = tuple(steps)
         self.nodes = tuple(nodes)
         self.agents = tuple(agents)
@@ -645,13 +660,12 @@ class Evaluator:
     world alone in its class satisfies [i]f iff it satisfies f). After a run
     the masks of the roots and of every node inside are memoized on the
     formula node, which interning makes one object per distinct formula, so
-    ``check``, ``mask`` and ``sat_set`` answer from the memo, and a later
-    run skips the steps whose nodes it holds. A formula not in the memo runs
-    its own one-root plan. ``run`` runs a given plan at most once per
-    checker, recognizing it by identity.
+    ``check``, ``mask``, ``sat_set`` and ``run`` answer from the memo when
+    it holds what they ask. Otherwise ``run`` runs every step of the plan,
+    and the others a formula's one-root plan.
     """
 
-    __slots__ = ("model", "_worlds", "_bit", "_full", "_masks", "_runs", "_blocks", "_component")
+    __slots__ = ("model", "_worlds", "_bit", "_full", "_masks", "_blocks", "_component")
     _last: "Evaluator | None" = None
 
     def __init__(self, model: PointedKripkeModel):
@@ -660,7 +674,6 @@ class Evaluator:
         self._bit = {w: 1 << k for k, w in enumerate(self._worlds)}
         self._full = (1 << len(self._worlds)) - 1
         self._masks: dict = {}
-        self._runs: dict = {}  # plan -> its roots' masks
         self._blocks: dict = {}  # agent -> masks of its classes of two or more worlds
         self._component = None
 
@@ -706,12 +719,11 @@ class Evaluator:
         return frozenset(self.members(self.mask(formula)))
 
     def run(self, plan: Plan) -> list:
-        """The masks of ``plan``'s roots, in root order; the first call per
-        plan runs it, later ones return the same list."""
-        hit = self._runs.get(plan)
-        if hit is None:
-            hit = self._runs[plan] = self._run(plan)
-        return hit
+        """The masks of ``plan``'s roots, in root order."""
+        try:
+            return list(map(self._masks.__getitem__, plan.roots))
+        except KeyError:
+            return self._run(plan)
 
     def _run(self, plan: Plan) -> list:
         full = self._full
@@ -719,15 +731,8 @@ class Evaluator:
         for agent in plan.agents:
             if agent not in classes:
                 classes[agent] = list(map(self.mask_of, self.model.relation(agent).blocks()))
-        if self._masks:
-            # the memoized masks, and None for each step still to run; the
-            # loop reads a step's flag before it fills the step's slot
-            masks = list(map(self._masks.get, plan.nodes))
-            steps = itertools.compress(plan.steps, map(is_, masks, itertools.repeat(None)))
-        else:  # nothing memoized: every step runs
-            masks = [None] * len(plan.steps)
-            steps = plan.steps
-        for slot, op, x, y in steps:
+        masks = [None] * len(plan.steps)
+        for slot, op, x, y in plan.steps:
             if op == _AND_NOT:
                 masks[slot] = masks[x] & ~masks[y]
             elif op == _NOR:

@@ -17,6 +17,9 @@ one step's model at a time.
 A run reuses the program ``compile_program`` keeps on the spec, and reads
 the stats of each encoding off the encoder (``encoded_stats``), so a
 re-encoded step walks one component: the product model's, in its decode.
+Each kept model runs one plan, the program's, and decode and stats read
+their formulas from that run; a product model about to be re-encoded runs
+only the decoder's plan.
 
 Product worlds are ``(parent, action)`` pairs. From step 2 on the loop passes
 the update a name for each parent: its index k among the step's sorted
@@ -224,16 +227,21 @@ def _steps(spec, initial, max_steps, mode, reencode, padding, compiled):
                 encoded = None
                 if oracle_state is not HALTED:
                     oracle_state = step(spec, oracle_state)
-            decoded = decode(model, states)
-            if index and reencode and isinstance(decoded, FiniteConfiguration):
-                encoded = encode(normalize(decoded), states, padding)
-                model = encoded.model
+            if index and reencode:
+                decoded = decode(model, states)
+                if isinstance(decoded, FiniteConfiguration):
+                    encoded = encode(normalize(decoded), states, padding)
+                    model = encoded.model
+                applicable = applicable_designated(model, program)
+            else:  # the program's plan first: decode reads from its run
+                applicable = applicable_designated(model, program)
+                decoded = decode(model, states)
 
             entry = StepEntry(
                 index,
                 decoded,
                 oracle_state,
-                tuple(applicable_designated(model, program)),
+                tuple(applicable),
                 model_stats(model) if encoded is None else encoded_stats(encoded),
                 _entries_match(decoded, oracle_state),
                 model,
@@ -409,8 +417,9 @@ def _describe(value) -> str:
 def _cmd_emulate(args) -> int:
     """Print each step, and write its DOT file, as the step is built; the
     trace keeps each step's JSON record, not its model, until the run ends.
-    The files written after the run are checked before it starts, and the
-    DOT directory is made once step 0 is built."""
+    The files written after the run are checked, and the program's text
+    rendered, before it starts; the DOT directory is made once step 0 is
+    built."""
     spec, initial = load_machine(args.machine)
     compiled = compile_program(spec, args.mode)
     for path in [Path(target) for target in (args.trace, args.emit_program) if target]:
@@ -418,6 +427,7 @@ def _cmd_emulate(args) -> int:
             raise NotADirectoryError(f"cannot write {path}: no directory {path.parent}")
         if path.is_dir():
             raise IsADirectoryError(f"cannot write {path}: it is a directory")
+    program_text = export_compiled(compiled) if args.emit_program else None
     directory = Path(args.dot_dir) if args.dot_dir else None
     records = []
     run = _steps(spec, initial, args.steps, args.mode, args.reencode, args.padding, compiled)
@@ -445,7 +455,7 @@ def _cmd_emulate(args) -> int:
     if directory:
         print(f"dot files written to {directory}")
     if args.emit_program:
-        Path(args.emit_program).write_text(export_compiled(compiled), encoding="utf-8")
+        Path(args.emit_program).write_text(program_text, encoding="utf-8")
         print(f"program written to {args.emit_program}")
     return 0
 
@@ -530,7 +540,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return _cmd_oracle(args)
         return _cmd_verify(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

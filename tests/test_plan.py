@@ -6,7 +6,15 @@ import pytest
 from epimachine import logic
 from epimachine.codec import component_of_point
 from epimachine.logic import And, Atom, Box, Evaluator, Not, Plan, Top, restricted_model
-from epimachine.program import GROWTH_MODES, compile_program
+from epimachine.program import (
+    GROWTH_MODES,
+    cell_formula,
+    compile_program,
+    digit_formula,
+    head_formula,
+    leftmost_formula,
+    rightmost_formula,
+)
 from epimachine.runner import emulate
 
 from helpers import brute_sat_set, load
@@ -88,3 +96,70 @@ def test_no_checker_runs_a_plan_twice(monkeypatch):
     # the checker of each step's model runs the program's plan
     checkers = [ev for ev, plan in runs if plan is program.program.plan]
     assert [id(ev.model) for ev in checkers] == [id(entry.model) for entry in trace.entries]
+
+
+def test_steps_follow_the_left_operand_before_the_right():
+    left = Box(logic.TAPE_A, logic.P)
+    right = logic.diamond(logic.TAPE_B, logic.TOP)
+    plan = Plan((And(left, right),))
+    assert plan.steps == (
+        (0, logic._ATOM, 0, 0),
+        (1, logic._BOX, logic.TAPE_A, 0),
+        (2, logic._TOP, 0, 0),
+        (3, logic._BOX_NOT, logic.TAPE_B, 2),
+        (4, logic._AND_NOT, 1, 3),
+    )
+    assert plan.outputs == ((4, False),)
+    assert plan.agents == (logic.TAPE_A, logic.TAPE_B)
+
+
+def _plans_by_model(monkeypatch):
+    """Each model's ``Evaluator._run`` plans in call order, by model id; the
+    dict holds each model, so its id stays unique."""
+    runs: dict = {}
+    original = Evaluator._run
+
+    def counting_run(self, plan):
+        runs.setdefault(id(self.model), [self.model]).append(plan)
+        return original(self, plan)
+
+    monkeypatch.setattr(Evaluator, "_run", counting_run)
+    return runs
+
+
+def _decoder_roots(spec):
+    fixed = (cell_formula(), leftmost_formula(), rightmost_formula(), digit_formula(1))
+    return fixed + tuple(map(head_formula, spec.states))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_a_plain_step_model_runs_the_programs_plan_alone(monkeypatch, name):
+    runs = _plans_by_model(monkeypatch)
+    spec, initial = load(name)
+    program = compile_program(spec).program
+    trace = emulate(spec, initial, 20)
+    for entry in trace.entries:
+        assert runs[id(entry.model)][1:] == [program.plan], entry.index
+    assert len(runs) == len(trace.entries)
+
+
+@pytest.mark.parametrize("name", ["bb2", "bb4"])
+def test_a_reencoded_step_runs_the_decoders_plan_then_the_programs(monkeypatch, name):
+    runs = _plans_by_model(monkeypatch)
+    spec, initial = load(name)
+    program = compile_program(spec).program
+    trace = emulate(spec, initial, 200, reencode=True)
+    halted = trace.entries[-1]
+    assert trace.stop_reason == "halted"
+    # the encoded models: the start model and each re-encoded one
+    for entry in trace.entries[:-1]:
+        assert runs.pop(id(entry.model))[1:] == [program.plan], entry.index
+    # the halted product model is kept as it is, so both plans run on it
+    assert [plan.roots for plan in runs.pop(id(halted.model))[1:]] == [
+        _decoder_roots(spec),
+        program.plan.roots,
+    ]
+    # each product model that was re-encoded
+    assert len(runs) == len(trace.entries) - 2
+    for _, *plans in runs.values():
+        assert [plan.roots for plan in plans] == [_decoder_roots(spec)]

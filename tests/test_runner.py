@@ -36,7 +36,7 @@ from epimachine.runner import (
     verify_lockstep,
 )
 
-from helpers import MACHINE_DIR, blank, load, random_config, two_marks_config
+from helpers import MACHINE_DIR, blank, generated_machine, load, random_config, two_marks_config
 
 
 def test_emulate_one_step_matches_oracle(flip_machine):
@@ -708,3 +708,22 @@ def test_cli_integers_take_the_head_lines_rule(capsys, option, token):
     # a minus and ASCII digits still parse, to be judged by the run
     assert main(["verify", str(MACHINE_DIR / "bb2.tm"), option, "7"]) == 0
     assert main(["verify", str(MACHINE_DIR / "bb2.tm"), option, "-3"]) == 2
+
+
+def test_a_machine_of_400_states_verifies():
+    # its program's formulas nest deeper than the interpreter's recursion limit
+    assert verify_lockstep(*generated_machine(400), 5).ok()
+
+
+def test_a_program_too_deep_to_print_stops_before_step_0(tmp_path, capsys):
+    states = [f"s{i}" for i in range(1200)]
+    lines = ["machine chain1200", f"states {' '.join(states)} H", "start s0", "halt H"]
+    lines += [f"trans {q} 0 -> {r} 1 R" for q, r in zip(states, states[1:] + ["H"])]
+    machine = tmp_path / "chain1200.tm"
+    machine.write_text("\n".join(lines) + "\n")
+    program = tmp_path / "program.json"
+    assert main(["emulate", str(machine), "--steps", "3", "--emit-program", str(program)]) == 2
+    out, err = capsys.readouterr()
+    assert "step 0" not in out
+    assert err.startswith("error: ")
+    assert not program.exists()

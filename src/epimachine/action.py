@@ -22,6 +22,9 @@ from .logic import (
     Formula,
     Plan,
     PointedKripkeModel,
+    _bits_of,
+    _Core,
+    _mask_of_bits,
     closure,
     format_formula,
     parse_formula,
@@ -80,8 +83,9 @@ class EpistemicProgram(Value):
         return self._layout()[0]
 
     def _layout(self) -> tuple:
-        """``plan``, each root's actions, and each designated action in id
-        order with its root's position."""
+        """``plan``, each root's actions, each designated action in id order
+        with its root's position, and per agent each action's block
+        position, for an action in a block of two or more."""
         layout = self.__dict__.get("_plan_layout")
         if layout is None:
             by_root: dict = {}  # precondition -> its actions, in action order
@@ -89,7 +93,12 @@ class EpistemicProgram(Value):
                 by_root.setdefault(self.pre[action], []).append(action)
             position = {root: i for i, root in enumerate(by_root)}
             designated = tuple((a, position[self.pre[a]]) for a in sorted(self.designated))
-            layout = (plan_of(tuple(by_root)), tuple(map(tuple, by_root.values())), designated)
+            blocks = {
+                agent: {a: i for i, block in enumerate(relation.blocks()) for a in block}
+                for agent, relation in self.relations.items()
+            }
+            roots = tuple(map(tuple, by_root.values()))
+            layout = (plan_of(tuple(by_root)), roots, designated, blocks)
             _set(self, "_plan_layout", layout)
         return layout
 
@@ -135,16 +144,19 @@ def identity_program(agents: Iterable[Agent]) -> EpistemicProgram:
     )
 
 
+def _designated(masks: list, point: int, designated: tuple) -> list[str]:
+    """The designated actions whose root mask holds world ``point``."""
+    return [action for action, i in designated if masks[i] >> point & 1]
+
+
 def applicable_designated(
     model: PointedKripkeModel, program: EpistemicProgram
 ) -> list[str]:
     """Designated actions whose precondition holds at the point, in action-id
     order. Length 1 means the update is defined and deterministic here."""
-    plan, _, designated = program._layout()
+    plan, _, designated, _ = program._layout()
     ev = Evaluator.of(model)
-    masks = ev.run(plan)
-    point = ev.bits[model.point]
-    return [action for action, i in designated if masks[i] & point]
+    return _designated(ev.run(plan), ev._core.point, designated)
 
 
 def product_update(
@@ -156,31 +168,36 @@ def product_update(
     is undefined) and raises DeterminismViolation when several do. The child
     of world w by action a is (w, a), so lineage stays inspectable, or
     (names[w], a) when ``names``, a one-to-one map of the worlds, is given.
+    The child's core is built from the parent's: the children are numbered
+    parent by parent, in the parent's order.
     """
     if model.agents != program.agents:
         raise ValueError("model and program use different agent universes")
-    chosen = applicable_designated(model, program)
+    ev = Evaluator.of(model)
+    core = ev._core
+    plan, root_actions, designated, action_blocks = program._layout()
+    masks = ev.run(plan)
+    chosen = _designated(masks, core.point, designated)
     if not chosen:
         return None
     if len(chosen) > 1:
         raise DeterminismViolation(model.point, chosen)
 
-    ev = Evaluator.of(model)
-    children: dict = {}  # parent world -> (action, child) per precondition it satisfies
-    plan, root_actions, _ = program._layout()
-    for mask, actions in zip(ev.run(plan), root_actions):
-        if not mask:
-            continue
-        parents = list(ev.members(mask))
-        for action in actions:
-            for parent in parents:
-                child = (action, (parent if names is None else names[parent], action))
-                if parent in children:
-                    children[parent].append(child)
-                else:
-                    children[parent] = [child]
-    universe = frozenset(world for kids in children.values() for _, world in kids)
-    branching = [parent for parent, kids in children.items() if len(kids) > 1]
+    kids: dict = {}  # parent number -> its actions, by precondition
+    for mask, actions in zip(masks, root_actions):
+        if mask:
+            for parent in itertools.compress(itertools.count(), _bits_of(mask, 0)):
+                kids[parent] = kids[parent] + actions if parent in kids else actions
+    # children are numbered parent by parent, those of parent p from first[p]
+    # on, one per action in kids[p]
+    order = sorted(kids)
+    counts = list(map(len, map(kids.__getitem__, order)))
+    first = dict(zip(order, itertools.accumulate(counts, initial=0)))
+    branching = list(itertools.compress(order, map((1).__lt__, counts)))
+    parent_of = sorted(order + [p for p in branching for _ in kids[p][1:]])
+    action_of = list(itertools.chain.from_iterable(map(kids.__getitem__, order)))
+    label = core.names if names is None else list(map(names.__getitem__, core.names))
+    worlds = tuple(zip(map(label.__getitem__, parent_of), action_of))
 
     # (w,a) ~i (v,b) iff w ~i v and a ~i b, so two product worlds share a
     # class of two or more only if their parents share a block, or they are
@@ -189,32 +206,30 @@ def product_update(
     # class, groups the children by (class, program block or lone action).
     # Program block positions are ints and action ids strings, so the keys
     # never clash.
-    relations = {}
-    for agent in model.agents:
-        model_relation = model.relations[agent]
-        model_index = model_relation.index
-        action_block = program.relations[agent].index.get
-        lone = [(parent,) for parent in branching if parent not in model_index]
+    blocks = {}
+    for agent, parent_blocks in core.blocks.items():
+        action_block = action_blocks[agent].get
+        owner = ev._owner(agent) if branching and parent_blocks else None
+        lone = [(p,) for p in branching if owner is None or owner[p] is None]
         groups: dict = {}
-        for i, cls in enumerate(itertools.chain(model_relation.blocks(), lone)):
+        for i, cls in enumerate(itertools.chain(parent_blocks, lone)):
             for parent in cls:
-                for action, world in children.get(parent, ()):
+                child = first.get(parent)
+                if child is None:
+                    continue
+                for action in kids[parent]:
                     key = (i, action_block(action, action))
                     if key in groups:
-                        groups[key].append(world)
+                        groups[key].append(child)
                     else:
-                        groups[key] = [world]
-        blocks = [group for group in groups.values() if len(group) > 1]
-        relations[agent] = EquivRelation.from_blocks(universe, blocks)
+                        groups[key] = [child]
+                    child += 1
+        blocks[agent] = tuple(tuple(group) for group in groups.values() if len(group) > 1)
 
-    valuation = frozenset(
-        world
-        for parent, kids in children.items()
-        for action, world in kids
-        if program.post.get(action, parent in model.valuation)
-    )
-    point = dict(children[model.point])[chosen[0]]
-    return PointedKripkeModel(universe, relations, valuation, point)
+    inherited = map(_bits_of(core.valuation, len(core.names)).__getitem__, parent_of)
+    values = bytes(map(program.post.get, action_of, inherited))
+    point = first[core.point] + kids[core.point].index(chosen[0])
+    return PointedKripkeModel._of_core(_Core(worlds, blocks, _mask_of_bits(values), point))
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,11 @@ from .logic import (
     SYMBOL,
     TAPE_A,
     TAPE_B,
-    EquivRelation,
     Evaluator,
     PointedKripkeModel,
+    _bits_of,
+    _Core,
+    _mask_of_bits,
     plan_of,
     state_agent,
     world_label,
@@ -85,7 +87,10 @@ def _build_tape_model(
     state: str,
     states: tuple[str, ...],
 ):
-    """Model for cells lo..hi with the given 1-positions, head, and state."""
+    """Model for cells lo..hi with the given 1-positions, head, and state.
+
+    Its core numbers the worlds in chain order: the cells from lo, then the
+    symbol worlds in position order, then the head world."""
     if not lo <= 0 <= hi:
         raise ValueError("cell range must contain position 0")
     if not lo <= head <= hi:
@@ -95,25 +100,20 @@ def _build_tape_model(
     if any(j not in cells for j in symbols):
         raise ValueError("symbol outside the cell range")
     head_world = f"h[{head}]"
-    worlds = frozenset([*cells.values(), *symbols.values(), head_world])
-
-    pairs = {
-        TAPE_A: [(cells[j], cells[j + 1]) for j in range(lo, hi) if j % 2 == 0],
-        TAPE_B: [(cells[j], cells[j + 1]) for j in range(lo, hi) if j % 2 == 1],
-        SYMBOL: [(cells[j], symbols[j]) for j in symbols],
-    }
-    for q in states:
-        pairs[state_agent(q)] = [(cells[head], head_world)] if q == state else []
-
-    valuation = {cells[j] for j in cells if j % 2 == 0}
-    valuation |= {symbols[j] for j in symbols if j % 2 == 0}
-    if head % 2 == 0:
-        valuation.add(head_world)
+    names = (*cells.values(), *symbols.values(), head_world)
+    number = {j: len(cells) + i for i, j in enumerate(symbols)}  # each symbol world's
 
     # Each relation's generator pairs are disjoint, so they are its blocks.
-    relations = {agent: EquivRelation.from_blocks(worlds, ps) for agent, ps in pairs.items()}
-    model = PointedKripkeModel(worlds, relations, valuation, cells[0])
-    return model, cells, symbols, head_world
+    blocks = {
+        TAPE_A: tuple((j - lo, j + 1 - lo) for j in range(lo, hi) if j % 2 == 0),
+        TAPE_B: tuple((j - lo, j + 1 - lo) for j in range(lo, hi) if j % 2 == 1),
+        SYMBOL: tuple((j - lo, number[j]) for j in symbols),
+    }
+    for q in states:
+        blocks[state_agent(q)] = ((head - lo, len(names) - 1),) if q == state else ()
+    values = [j % 2 == 0 for j in cells] + [j % 2 == 0 for j in symbols] + [head % 2 == 0]
+    core = _Core(names, blocks, _mask_of_bits(bytes(values)), -lo)
+    return PointedKripkeModel._of_core(core), cells, symbols, head_world
 
 
 def encode(
@@ -143,21 +143,23 @@ def encode(
 def component_of_point(model: PointedKripkeModel) -> frozenset:
     """Worlds reachable from the point under the union of all relations,
     found once per model by its shared checker."""
-    return Evaluator.of(model).component()
+    ev = Evaluator.of(model)
+    return frozenset(ev.members(ev.component()))
 
 
 def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
     """Read the point's component as a tape: Malformed, HALTED, or the
-    decoded configuration, each chain cell's position in chain order, and
-    the component."""
-    component = component_of_point(model)
+    decoded configuration and the chain cells' world numbers in chain
+    order."""
     ev = Evaluator.of(model)
-    bits = ev.bits
+    core = ev._core
+    names = core.names
+    component = ev.component()
     fixed = (cell_formula(), leftmost_formula(), rightmost_formula(), digit_formula(1))
     plan = plan_of(fixed + tuple(map(head_formula, states)))
     cell, leftmost, rightmost, one, *heads = ev.run(plan)
-    cells = cell & ev.mask_of(component)
-    if not cells & bits[model.point]:
+    cells = cell & component
+    if not cells >> core.point & 1:
         return Malformed("point is not a cell")
 
     left_ends = cells & leftmost
@@ -166,37 +168,37 @@ def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
     right_ends = cells & rightmost
     if right_ends.bit_count() != 1:
         return Malformed("no rightmost cell" if not right_ends else "multiple rightmost cells")
-    (left_end,) = ev.members(left_ends)
-    (right_end,) = ev.members(right_ends)
+    left_end = left_ends.bit_length() - 1
+    right_end = right_ends.bit_length() - 1
 
     # Walk the chain left to right. From a p-cell the right neighbor is its
     # a-partner, from a non-p-cell its b-partner; both must be the other
     # member of a block of exactly two along the way.
-    tape_a, tape_b = model.relations[TAPE_A], model.relations[TAPE_B]
-    tape = {True: (tape_a.index.get, tape_a.blocks()), False: (tape_b.index.get, tape_b.blocks())}
+    n = len(names)
+    is_cell = _bits_of(cells, n)
+    values = _bits_of(core.valuation, n)
+    tape = [(ev._owner(agent), core.blocks[agent]) for agent in (TAPE_B, TAPE_A)]  # by p
     chain = [left_end]
-    visited = {left_end}
+    visited = bytearray(n)
+    visited[left_end] = 1
     current = left_end
     while current != right_end:
-        find, blocks = tape[current in model.valuation]
-        i = find(current)
+        owner, blocks = tape[values[current]]
+        i = owner[current]
         block = () if i is None else blocks[i]
         if len(block) != 2:
-            return Malformed(f"alternation violated at {world_label(current)}")
+            return Malformed(f"alternation violated at {world_label(names[current])}")
         first, second = block
         nxt = second if first == current else first
-        if not cells & bits[nxt]:
-            return Malformed(f"tape relation leaves the cells at {world_label(current)}")
-        if nxt in visited:
-            return Malformed(f"cell chain cycles at {world_label(nxt)}")
+        if not is_cell[nxt]:
+            return Malformed(f"tape relation leaves the cells at {world_label(names[current])}")
+        if visited[nxt]:
+            return Malformed(f"cell chain cycles at {world_label(names[nxt])}")
         chain.append(nxt)
-        visited.add(nxt)
+        visited[nxt] = 1
         current = nxt
-    if len(visited) != cells.bit_count():  # every visited world is a cell
+    if len(chain) != cells.bit_count():  # every visited world is a cell
         return Malformed("cells outside the tape chain")
-
-    anchor = chain.index(model.point)
-    positions = {w: i - anchor for i, w in enumerate(chain)}
 
     heads = [(q, cells & head) for q, head in zip(states, heads) if cells & head]
     if not heads:
@@ -204,14 +206,17 @@ def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
     if len(heads) > 1 or heads[0][1].bit_count() > 1:
         return Malformed("multiple heads")
     head_state, head = heads[0]
-    (head_cell,) = ev.members(head)
 
-    ones = cells & one
-    symbols = tuple(1 if bits[w] & ones else 0 for w in chain)
+    anchor = chain.index(core.point)
+    ones = _bits_of(cells & one, n)
+    symbols = tuple(ones[k] for k in chain)
     config = FiniteConfiguration(
-        (-anchor, len(chain) - 1 - anchor), symbols, positions[head_cell], head_state
+        (-anchor, len(chain) - 1 - anchor),
+        symbols,
+        chain.index(head.bit_length() - 1) - anchor,
+        head_state,
     )
-    return config, positions, component
+    return config, chain
 
 
 def decode(model: PointedKripkeModel, states: Sequence[str]):
@@ -240,7 +245,10 @@ def validate_encoding(model: PointedKripkeModel, states: Sequence[str]) -> tuple
     if reading is HALTED:
         return False, "no head world"
 
-    config, positions, component = reading
+    config, chain = reading
+    chain = list(map(Evaluator.of(model)._core.names.__getitem__, chain))
+    positions = dict(zip(chain, range(config.window[0], config.window[1] + 1)))
+    component = component_of_point(model)
     lo, hi = config.window
     ones = config.one_positions()
     expected, exp_cells, exp_symbols, exp_head = _build_tape_model(
@@ -248,7 +256,6 @@ def validate_encoding(model: PointedKripkeModel, states: Sequence[str]) -> tuple
     )
 
     mapping = {world: exp_cells[position] for world, position in positions.items()}
-    chain = tuple(positions)
     for position in ones:
         cell = chain[position - lo]
         partners = model.relations[SYMBOL].class_of(cell).difference(positions)

@@ -6,16 +6,20 @@ relation index. Disjunction and the diamond are derived operators, not AST
 nodes; nodes are interned, so equal formulas are one object. Relations are
 equivalence relations stored as their blocks only, the classes of two or
 more members, in no particular order, with an index from each block member
-to its block; every other member is alone in its class and costs nothing,
-so the work on a relation follows the worlds it links, not its universe.
-The public constructor checks a full partition in one pass; partitions the
-package builds itself skip the check. Relation indices are interned like
-formula nodes, so an index hashes by identity. The checker numbers a
-model's worlds once and keeps satisfaction sets as integer bitmasks. It
-evaluates plans: a plan, compiled once for a tuple of root formulas, has
-one step per distinct node that is not a negation, with each chain of
-negations folded into its operand's parity, and runs as one flat pass per
-model whose masks are memoized on the formula nodes.
+to its block built when read; every other member is alone in its class and
+costs nothing, so the work on a relation follows the worlds it links, not
+its universe. The public constructor checks a full partition in one pass;
+partitions the package builds itself skip the check. Relation indices are
+interned like formula nodes, so an index hashes by identity. Each model has
+one integer core: its worlds numbered 0..n-1, each relation's blocks as
+number tuples and masks, the valuation as one mask. The encoder and the
+update build it with the model; a model built from named parts numbers its
+worlds on first use. The checker reads the core and keeps satisfaction
+sets as integer bitmasks. It evaluates plans: a plan, compiled once for a
+tuple of root formulas, has one step per distinct node that is not a
+negation, with each chain of negations folded into its operand's parity,
+and runs as one flat pass per model whose masks are memoized on the
+formula nodes.
 """
 
 from __future__ import annotations
@@ -348,10 +352,11 @@ class EquivRelation:
 
     The constructor checks that ``classes`` partition ``universe``;
     ``from_blocks`` takes the blocks of a partition the package built itself
-    and checks nothing.
+    and checks nothing. A relation of a model the encoder or the update
+    built names its blocks, and indexes them, only when they are read.
     """
 
-    __slots__ = ("_universe", "_blocks", "_index")
+    __slots__ = ("_universe", "_blocks", "_index", "_numbered")
 
     def __init__(self, universe: Iterable, classes: Iterable[Iterable]):
         universe = frozenset(universe)
@@ -363,7 +368,8 @@ class EquivRelation:
             raise ValueError("classes do not partition the universe")
         self._universe = universe
         self._blocks = tuple(cls for cls in parts if len(cls) > 1)
-        self._index = {x: i for i, block in enumerate(self._blocks) for x in block}
+        self._index = None
+        self._numbered = None
 
     @classmethod
     def from_blocks(cls, universe: Iterable, blocks: Iterable[Iterable]) -> "EquivRelation":
@@ -375,7 +381,18 @@ class EquivRelation:
         out = object.__new__(cls)
         out._universe = frozenset(universe)
         out._blocks = tuple(map(frozenset, blocks))
-        out._index = {x: i for i, block in enumerate(out._blocks) for x in block}
+        out._index = None
+        out._numbered = None
+        return out
+
+    @classmethod
+    def _of_numbers(cls, universe: frozenset, names: tuple, blocks: tuple) -> "EquivRelation":
+        """``from_blocks`` of ``blocks`` given as world numbers, each named
+        ``names[k]`` when the blocks are first read."""
+        out = object.__new__(cls)
+        out._universe = universe
+        out._blocks = out._index = None
+        out._numbered = (names, blocks)
         return out
 
     @property
@@ -384,25 +401,31 @@ class EquivRelation:
 
     def blocks(self) -> tuple:
         """The stored classes: those of two or more members."""
+        if self._blocks is None:
+            names, blocks = self._numbered
+            self._blocks = tuple(frozenset(map(names.__getitem__, b)) for b in blocks)
+            self._numbered = None
         return self._blocks
 
     def classes(self) -> tuple:
         """The full partition: the blocks, then one singleton class per other
         member of the universe, built on each call."""
-        index = self._index
-        return self._blocks + tuple(frozenset((x,)) for x in self._universe if x not in index)
+        index = self.index
+        return self.blocks() + tuple(frozenset((x,)) for x in self._universe if x not in index)
 
     @property
     def index(self) -> Mapping:
-        """Each block member's position in ``blocks()``; a member of the
-        universe that is not a key is alone in its class. Read it, do not
-        change it."""
+        """Each block member's position in ``blocks()``, built on first read;
+        a member of the universe that is not a key is alone in its class.
+        Read it, do not change it."""
+        if self._index is None:
+            self._index = {x: i for i, block in enumerate(self.blocks()) for x in block}
         return self._index
 
     def class_of(self, x) -> frozenset:
-        i = self._index.get(x)
+        i = self.index.get(x)
         if i is not None:
-            return self._blocks[i]
+            return self.blocks()[i]
         if x in self._universe:
             return frozenset((x,))
         raise ValueError(f"element outside universe: {x!r}")
@@ -413,25 +436,25 @@ class EquivRelation:
     def pairs(self) -> frozenset:
         """Explicit pair set, reflexive pairs included."""
         out = {(x, x) for x in self._universe}
-        for block in self._blocks:
+        for block in self.blocks():
             out.update(itertools.product(block, block))
         return frozenset(out)
 
     def restricted(self, keep: Iterable) -> "EquivRelation":
         keep = frozenset(keep)
-        parts = [block & keep for block in self._blocks]
+        parts = [block & keep for block in self.blocks()]
         return EquivRelation.from_blocks(self._universe & keep, [b for b in parts if len(b) > 1])
 
     def __eq__(self, other):
         if not isinstance(other, EquivRelation):
             return NotImplemented
-        return self._universe == other._universe and set(self._blocks) == set(other._blocks)
+        return self._universe == other._universe and set(self.blocks()) == set(other.blocks())
 
     def __hash__(self):
-        return hash((self._universe, frozenset(self._blocks)))
+        return hash((self._universe, frozenset(self.blocks())))
 
     def __repr__(self):
-        count = len(self._blocks) + len(self._universe) - len(self._index)
+        count = len(self.blocks()) + len(self._universe) - sum(map(len, self.blocks()))
         return f"EquivRelation({len(self._universe)} elements, {count} classes)"
 
 
@@ -503,7 +526,9 @@ def is_equivalence(pairs: Iterable[tuple], universe: Iterable) -> bool:
 class PointedKripkeModel(Value):
     """Finite Kripke model with equivalence relations and a designated world.
 
-    Immutable after construction; evaluation never mutates the model.
+    Immutable after construction; evaluation never mutates the model. Its
+    integer core (``_Core``) comes with it when the encoder or the update
+    builds it, and is built from the named parts on first use otherwise.
     """
 
     _fields = ("worlds", "relations", "valuation", "point")
@@ -543,6 +568,86 @@ class PointedKripkeModel(Value):
     def successors(self, agent: Agent, world: World) -> frozenset:
         return self.relation(agent).class_of(world)
 
+    @classmethod
+    def _of_core(cls, core: "_Core") -> "PointedKripkeModel":
+        """The model ``core`` numbers, named through its name list; unchecked,
+        as the package built the core."""
+        names = core.names
+        worlds = frozenset(names)
+        model = object.__new__(cls)
+        _set(model, "worlds", worlds)
+        _set(model, "relations", {
+            agent: EquivRelation._of_numbers(worlds, names, blocks)
+            for agent, blocks in core.blocks.items()
+        })
+        valuation = itertools.compress(names, _bits_of(core.valuation, len(names)))
+        _set(model, "valuation", frozenset(valuation))
+        _set(model, "point", names[core.point])
+        _set(model, "_core", core)
+        return model
+
+    def _numbered(self) -> "_Core":
+        """The model's core, built from the named parts on first use."""
+        core = self.__dict__.get("_core")
+        if core is None:
+            core = _Core.of_named(self)
+            _set(self, "_core", core)
+        return core
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bits_of(mask: int, size: int) -> bytes:
+    """The first ``size`` bits of ``mask``, lowest first, one byte 0 or 1 each."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES).ljust(size, b"\0")
+
+
+def _mask_of_bits(bits) -> int:
+    """The mask whose bit k is ``bits[k]``, each 0 or 1, in one pass."""
+    return int(bits[::-1].translate(_DIGITS), 2)
+
+
+def _mask_of(indices: Iterable[int], size: int) -> int:
+    """The mask of ``indices``, each below ``size``, in one pass."""
+    bits = bytearray(size)
+    for k in indices:
+        bits[k] = 1
+    return _mask_of_bits(bits)
+
+
+class _Core:
+    """A model's worlds numbered 0..n-1: their names in that order, each
+    relation's blocks as tuples of world numbers and as masks (bit k for
+    world k), the valuation as one mask and the point as a number. A core
+    refers to no other model or core."""
+
+    __slots__ = ("names", "blocks", "masks", "valuation", "point")
+
+    def __init__(self, names: tuple, blocks: Mapping, valuation: int, point: int):
+        self.names = names
+        self.blocks = blocks
+        self.masks = {  # most blocks are pairs
+            agent: [(1 << b[0]) | (1 << b[1]) if len(b) == 2 else _mask_of(b, max(b) + 1) for b in bs]
+            for agent, bs in blocks.items()
+        }
+        self.valuation = valuation
+        self.point = point
+
+    @classmethod
+    def of_named(cls, model: PointedKripkeModel) -> "_Core":
+        """The core of a model built from named parts, its worlds numbered in
+        the world set's iteration order."""
+        names = tuple(model.worlds)
+        position = {w: k for k, w in enumerate(names)}.__getitem__
+        blocks = {
+            agent: tuple(tuple(map(position, block)) for block in relation.blocks())
+            for agent, relation in model.relations.items()
+        }
+        valuation = _mask_of(map(position, model.valuation), len(names))
+        return cls(names, blocks, valuation, position(model.point))
+
 
 def make_model(
     worlds: Iterable,
@@ -555,8 +660,6 @@ def make_model(
     relations = {ag: closure(ps, worlds) for ag, ps in relation_pairs.items()}
     return PointedKripkeModel(worlds, relations, frozenset(valuation), point)
 
-
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 # plan step operations; ``_AND_NOT`` is x & ~y, ``_NOR`` is ~x & ~y, and
 # ``_BOX_NOT`` is [x]~y
@@ -651,8 +754,8 @@ def plan_of(roots: tuple) -> Plan:
 class Evaluator:
     """Set-at-a-time model checker for one model.
 
-    The worlds are numbered once, and a satisfaction set is an ``int`` whose
-    bit k is set iff world k satisfies the formula. The checker runs
+    It reads the model's integer core, so a satisfaction set is an ``int``
+    whose bit k is set iff world k satisfies the formula. The checker runs
     ``Plan``s: one flat pass over a plan's steps, each filling its slot with
     a mask. ``And`` costs one integer operation, a negation folded into an
     operand none, and ``Box`` removes from its inner set every class of the
@@ -662,19 +765,21 @@ class Evaluator:
     formula node, which interning makes one object per distinct formula, so
     ``check``, ``mask``, ``sat_set`` and ``run`` answer from the memo when
     it holds what they ask. Otherwise ``run`` runs every step of the plan,
-    and the others a formula's one-root plan.
+    and the others a formula's one-root plan. The named methods (``bits``,
+    ``mask_of``, ``members``, ``sat_set``, ``check``) go through the core's
+    name list.
     """
 
-    __slots__ = ("model", "_worlds", "_bit", "_full", "_masks", "_blocks", "_component")
+    __slots__ = ("model", "_core", "_full", "_masks", "_owners", "_position", "_component")
     _last: "Evaluator | None" = None
 
     def __init__(self, model: PointedKripkeModel):
         self.model = model
-        self._worlds = tuple(model.worlds)
-        self._bit = {w: 1 << k for k, w in enumerate(self._worlds)}
-        self._full = (1 << len(self._worlds)) - 1
+        self._core = model._numbered()
+        self._full = (1 << len(self._core.names)) - 1
         self._masks: dict = {}
-        self._blocks: dict = {}  # agent -> masks of its classes of two or more worlds
+        self._owners: dict = {}  # agent -> each world's block position, or None
+        self._position = None  # world name -> number, built on first use
         self._component = None
 
     @classmethod
@@ -691,8 +796,15 @@ class Evaluator:
         """Empty the slot, so the last checked model's sets can be freed."""
         Evaluator._last = None
 
+    def _positions(self) -> dict:
+        if self._position is None:
+            self._position = {w: k for k, w in enumerate(self._core.names)}
+        return self._position
+
     def check(self, world: World, formula: Formula) -> bool:
-        return self.mask(formula) & self._bit.get(world, 0) != 0
+        mask = self.mask(formula)
+        k = self._positions().get(world)
+        return k is not None and mask >> k & 1 == 1
 
     def mask(self, formula: Formula) -> int:
         """The satisfaction set of ``formula`` as a bitmask."""
@@ -703,17 +815,17 @@ class Evaluator:
 
     @property
     def bits(self) -> Mapping:
-        """Each world's bit. Read it, do not change it."""
-        return self._bit
+        """Each world's bit, built on each call."""
+        return {w: 1 << k for k, w in enumerate(self._core.names)}
 
     def mask_of(self, worlds: Iterable[World]) -> int:
         """The bitmask of ``worlds``, all worlds of the model."""
-        return sum(map(self._bit.__getitem__, worlds))
+        return _mask_of(map(self._positions().__getitem__, worlds), len(self._core.names))
 
     def members(self, mask: int) -> Iterable[World]:
         """The worlds of ``mask``, in the checker's world order."""
         # binary digits lowest bit first, as bytes 0/1 to select worlds by
-        return itertools.compress(self._worlds, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
+        return itertools.compress(self._core.names, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
 
     def sat_set(self, formula: Formula) -> frozenset:
         return frozenset(self.members(self.mask(formula)))
@@ -727,10 +839,10 @@ class Evaluator:
 
     def _run(self, plan: Plan) -> list:
         full = self._full
-        classes = self._blocks
+        classes = self._core.masks
         for agent in plan.agents:
             if agent not in classes:
-                classes[agent] = list(map(self.mask_of, self.model.relation(agent).blocks()))
+                self.model.relation(agent)  # raises, naming the unknown index
         masks = [None] * len(plan.steps)
         for slot, op, x, y in plan.steps:
             if op == _AND_NOT:
@@ -748,7 +860,7 @@ class Evaluator:
             elif op == _AND:
                 masks[slot] = masks[x] & masks[y]
             elif op == _ATOM:
-                masks[slot] = self.mask_of(self.model.valuation)
+                masks[slot] = self._core.valuation
             else:
                 masks[slot] = full
         self._masks.update(zip(plan.nodes, masks))
@@ -756,28 +868,41 @@ class Evaluator:
         self._masks.update(zip(plan.roots, roots))
         return roots
 
-    def component(self) -> frozenset:
-        """Worlds reachable from the point under the union of all relations,
-        walked once per checker through each relation's own index; the walk
+    def _owner(self, agent: Agent) -> list:
+        """Each world's position among ``agent``'s blocks, None for a world
+        alone in its class; built once per checker."""
+        owner = self._owners.get(agent)
+        if owner is None:
+            owner = self._owners[agent] = [None] * len(self._core.names)
+            for i, block in enumerate(self._core.blocks[agent]):
+                for k in block:
+                    owner[k] = i
+        return owner
+
+    def component(self) -> int:
+        """The mask of the worlds reachable from the point under the union of
+        all relations, walked once per checker on world numbers; the walk
         enters each class of two or more worlds at most once."""
         if self._component is None:
-            # per relation with a block: its index, and its blocks with each
-            # entered one replaced by an empty tuple
+            core = self._core
+            # per relation with a block: its owner list, and its blocks with
+            # each entered one replaced by an empty tuple
             relations = [
-                (r.index, list(r.blocks())) for r in self.model.relations.values() if r.index
+                (self._owner(agent), list(blocks)) for agent, blocks in core.blocks.items() if blocks
             ]
-            seen = {self.model.point}
-            frontier = [self.model.point]
+            seen = bytearray(len(core.names))
+            seen[core.point] = 1
+            frontier = [core.point]
             for world in frontier:
-                for index, blocks in relations:
-                    if world in index:
-                        i = index[world]
+                for owner, blocks in relations:
+                    i = owner[world]
+                    if i is not None:
                         for other in blocks[i]:
-                            if other not in seen:
-                                seen.add(other)
+                            if not seen[other]:
+                                seen[other] = 1
                                 frontier.append(other)
                         blocks[i] = ()
-            self._component = frozenset(seen)
+            self._component = _mask_of_bits(seen)
         return self._component
 
 

@@ -19,7 +19,9 @@ the stats of each encoding off the encoder (``encoded_stats``), so a
 re-encoded step walks one component: the product model's, in its decode.
 Each kept model runs one plan, the program's, and decode and stats read
 their formulas from that run; a product model about to be re-encoded runs
-only the decoder's plan.
+only the decoder's plan. Every model comes with its integer core, built by
+the encoder or from the parent's by the update, and the checker, decode,
+stats and the next update read that core, so no model is numbered twice.
 
 Product worlds are ``(parent, action)`` pairs. From step 2 on the loop passes
 the update a name for each parent: its index k among the step's sorted
@@ -39,7 +41,7 @@ from pathlib import Path
 
 from ._value import Value, _set
 from .action import DeterminismViolation, applicable_designated, product_update
-from .codec import DEFAULT_PADDING, EncodedModel, Malformed, component_of_point, decode, encode
+from .codec import DEFAULT_PADDING, EncodedModel, Malformed, decode, encode
 from .logic import Evaluator, PointedKripkeModel, sorted_worlds, world_label
 from .machine import (
     HALTED,
@@ -66,10 +68,11 @@ class ModelStats(Value):
 
 
 def model_stats(model: PointedKripkeModel) -> ModelStats:
-    component = component_of_point(model)
     ev = Evaluator.of(model)
-    cells = (ev.mask(cell_formula()) & ev.mask_of(component)).bit_count()
-    return ModelStats(len(model.worlds), len(component), cells, len(model.worlds) - len(component))
+    component = ev.component()
+    cells = (ev.mask(cell_formula()) & component).bit_count()
+    worlds, reached = len(model.worlds), component.bit_count()
+    return ModelStats(worlds, reached, cells, worlds - reached)
 
 
 def encoded_stats(encoded: EncodedModel) -> ModelStats:

@@ -168,20 +168,20 @@ def product_update(
     is undefined) and raises DeterminismViolation when several do. The child
     of world w by action a is (w, a), so lineage stays inspectable, or
     (names[w], a) when ``names``, a one-to-one map of the worlds, is given.
-    The child's core is built from the parent's: the children are numbered
-    parent by parent, in the parent's order.
+    The child is its core alone, built from the parent's: the children are
+    numbered parent by parent, in the parent's order.
     """
-    if model.agents != program.agents:
-        raise ValueError("model and program use different agent universes")
     ev = Evaluator.of(model)
     core = ev._core
+    if core.blocks.keys() != program.relations.keys():
+        raise ValueError("model and program use different agent universes")
     plan, root_actions, designated, action_blocks = program._layout()
     masks = ev.run(plan)
     chosen = _designated(masks, core.point, designated)
     if not chosen:
         return None
     if len(chosen) > 1:
-        raise DeterminismViolation(model.point, chosen)
+        raise DeterminismViolation(core.names[core.point], chosen)
 
     kids: dict = {}  # parent number -> its actions, by precondition
     for mask, actions in zip(masks, root_actions):

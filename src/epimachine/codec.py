@@ -6,19 +6,22 @@ on both sides), one detached symbol world per 1-cell, and one head world
 attached through the relation of the current state. The atom p holds
 exactly at even absolute positions, which is what makes the cell chain
 walkable and the end cells recognizable. Every relation of an encoding
-pairs disjoint worlds, so the encoder writes its blocks down directly, and
-it refuses a cell span above ``MAX_SPAN`` before building anything.
+pairs disjoint worlds, so the encoder writes the model's integer core down
+directly, and nothing else: the model names its worlds only when they are
+read. It refuses a cell span above ``MAX_SPAN`` before building anything.
 
 Decoding works on the connected component of the designated world and
-anchors absolute position 0 at that world. The component is walked once per
-model, by the model's shared checker, so decode and the runner's statistics
-share it. Under the compiled program the new point is always the descendant
-of the previous position-0 cell, so absolute head positions survive updates
-exactly.
+anchors absolute position 0 at that world, on world numbers. The component
+is walked once per model, by the model's shared checker, so decode and the
+runner's statistics share it; ``validate_encoding`` maps it onto the core
+the encoder would build. Under the compiled program the new point is always
+the descendant of the previous position-0 cell, so absolute head positions
+survive updates exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Mapping, Sequence
 
 from ._value import Value, _set
@@ -30,6 +33,7 @@ from .logic import (
     PointedKripkeModel,
     _bits_of,
     _Core,
+    _mask_of,
     _mask_of_bits,
     plan_of,
     state_agent,
@@ -87,10 +91,9 @@ def _build_tape_model(
     state: str,
     states: tuple[str, ...],
 ):
-    """Model for cells lo..hi with the given 1-positions, head, and state.
-
-    Its core numbers the worlds in chain order: the cells from lo, then the
-    symbol worlds in position order, then the head world."""
+    """Core of the model for cells lo..hi with the given 1-positions, head,
+    and state, which numbers the worlds in chain order: the cells from lo,
+    then the symbol worlds in position order, then the head world."""
     if not lo <= 0 <= hi:
         raise ValueError("cell range must contain position 0")
     if not lo <= head <= hi:
@@ -112,8 +115,7 @@ def _build_tape_model(
     for q in states:
         blocks[state_agent(q)] = ((head - lo, len(names) - 1),) if q == state else ()
     values = [j % 2 == 0 for j in cells] + [j % 2 == 0 for j in symbols] + [head % 2 == 0]
-    core = _Core(names, blocks, _mask_of_bits(bytes(values)), -lo)
-    return PointedKripkeModel._of_core(core), cells, symbols, head_world
+    return _Core(names, blocks, _mask_of_bits(bytes(values)), -lo), cells, symbols, head_world
 
 
 def encode(
@@ -134,10 +136,10 @@ def encode(
     span = ceil_even(config.window) + padding
     if span > MAX_SPAN:
         raise ValueError(f"cell span {span} exceeds the limit of {MAX_SPAN} (cells -span..span)")
-    model, cells, symbols, head_world = _build_tape_model(
+    core, cells, symbols, head_world = _build_tape_model(
         -span, span, config.one_positions(), config.head, config.state, states
     )
-    return EncodedModel(model, cells, symbols, head_world, span - padding)
+    return EncodedModel(PointedKripkeModel._of_core(core), cells, symbols, head_world, span - padding)
 
 
 def component_of_point(model: PointedKripkeModel) -> frozenset:
@@ -233,10 +235,10 @@ def decode(model: PointedKripkeModel, states: Sequence[str]):
 def validate_encoding(model: PointedKripkeModel, states: Sequence[str]) -> tuple[bool, str]:
     """Whether the point's component is exactly an encoded configuration.
 
-    Decodes, rebuilds the tape model the decoded configuration prescribes
-    over the same cell span, and checks that the decode-induced world
-    mapping is an isomorphism. Differences in world naming and in blank
-    margin width are exactly what the comparison is insensitive to.
+    Decodes, builds the core the encoder gives the decoded configuration
+    over the same cell span, and checks that the decode-induced map of world
+    numbers is an isomorphism onto it. World names and numbering and the
+    blank margin width are exactly what the comparison is insensitive to.
     """
     states = tuple(states)
     reading = _analyze(model, states)
@@ -246,44 +248,48 @@ def validate_encoding(model: PointedKripkeModel, states: Sequence[str]) -> tuple
         return False, "no head world"
 
     config, chain = reading
-    chain = list(map(Evaluator.of(model)._core.names.__getitem__, chain))
-    positions = dict(zip(chain, range(config.window[0], config.window[1] + 1)))
-    component = component_of_point(model)
+    ev = Evaluator.of(model)
+    core, component = ev._core, ev.component()
     lo, hi = config.window
     ones = config.one_positions()
-    expected, exp_cells, exp_symbols, exp_head = _build_tape_model(
-        lo, hi, ones, config.head, config.state, states
-    )
+    expected = _build_tape_model(lo, hi, ones, config.head, config.state, states)[0]
 
-    mapping = {world: exp_cells[position] for world, position in positions.items()}
-    for position in ones:
-        cell = chain[position - lo]
-        partners = model.relations[SYMBOL].class_of(cell).difference(positions)
-        if len(partners) != 1:
+    def attached(agent, world, skip):
+        """The worlds of ``world``'s block of ``agent`` that are not in ``skip``."""
+        i = ev._owner(agent)[world]
+        return [] if i is None else [w for w in core.blocks[agent][i] if w not in skip]
+
+    # world number -> expected number: the cells in chain order, then the
+    # symbol worlds in position order, then the head world
+    mapping = {world: k for k, world in enumerate(chain)}
+    cells = set(chain)
+    for k, position in enumerate(ones, start=len(chain)):
+        symbol = attached(SYMBOL, chain[position - lo], cells)
+        if len(symbol) != 1:
             return False, f"symbol attachment at position {position} is not a single world"
-        mapping[next(iter(partners))] = exp_symbols[position]
-
+        mapping[symbol[0]] = k
     head_cell = chain[config.head - lo]
-    head_rel = model.relations[state_agent(config.state)]
-    head_partners = head_rel.class_of(head_cell) - {head_cell}
-    if len(head_partners) != 1:
+    head = attached(state_agent(config.state), head_cell, (head_cell,))
+    if len(head) != 1:
         return False, "head attachment is not a single world"
-    mapping[next(iter(head_partners))] = exp_head
+    mapping[head[0]] = len(expected.names) - 1
 
-    if mapping.keys() != component:
-        return False, f"component has {len(component)} worlds, expected {len(mapping)}"
+    if _mask_of(mapping, len(core.names)) != component:
+        return False, f"component has {component.bit_count()} worlds, expected {len(mapping)}"
 
-    if model.agents != expected.agents:
+    if core.blocks.keys() != expected.blocks.keys():
         return False, "agent universe mismatch"
-    for agent in model.agents:
-        actual = model.relations[agent].restricted(component)
-        image = {frozenset(mapping[w] for w in cls) for cls in actual.classes()}
-        if image != set(expected.relations[agent].classes()):
+    # no expected number is given twice, so the map is one-to-one; when it is
+    # onto, two partitions agree iff their blocks do
+    onto = len(mapping) == len(expected.names)
+    for agent in sorted(core.blocks, key=lambda a: a.token):
+        image = (frozenset(mapping[w] for w in block if component >> w & 1) for block in core.blocks[agent])
+        if not onto or {b for b in image if len(b) > 1} != set(map(frozenset, expected.blocks[agent])):
             return False, f"relation {agent.token} differs from the encoding"
 
-    actual_valuation = {mapping[w] for w in component & model.valuation}
-    if actual_valuation != set(expected.valuation):
+    valued = itertools.compress(itertools.count(), _bits_of(component & core.valuation, 0))
+    if _mask_of(map(mapping.__getitem__, valued), len(expected.names)) != expected.valuation:
         return False, "valuation differs from the encoding"
-    if mapping[model.point] != expected.point:
+    if mapping[core.point] != expected.point:
         return False, "point differs from the encoding"
     return True, "ok"

@@ -12,13 +12,14 @@ its universe. The public constructor checks a full partition in one pass;
 partitions the package builds itself skip the check. Relation indices are
 interned like formula nodes, so an index hashes by identity. Each model has
 one integer core: its worlds numbered 0..n-1, each relation's blocks as
-number tuples and masks, the valuation as one mask. The encoder and the
-update build it with the model; a model built from named parts numbers its
-worlds on first use. The checker reads the core and keeps satisfaction
-sets as integer bitmasks. It evaluates plans: a plan, compiled once for a
-tuple of root formulas, has one step per distinct node that is not a
-negation, with each chain of negations folded into its operand's parity,
-and runs as one flat pass per model whose masks are memoized on the
+number tuples and masks, the valuation as one mask. A model the encoder or
+the update builds is its core alone, and its worlds, relations, valuation
+and point are named from the core when first read; a model built from named
+parts numbers its worlds on first use. The checker reads the core and keeps
+satisfaction sets as integer bitmasks. It evaluates plans: a plan, compiled
+once for a tuple of root formulas, has one step per distinct node that is
+not a negation, with each chain of negations folded into its operand's
+parity, and runs as one flat pass per model whose masks are memoized on the
 formula nodes.
 """
 
@@ -352,11 +353,10 @@ class EquivRelation:
 
     The constructor checks that ``classes`` partition ``universe``;
     ``from_blocks`` takes the blocks of a partition the package built itself
-    and checks nothing. A relation of a model the encoder or the update
-    built names its blocks, and indexes them, only when they are read.
+    and checks nothing. The index is built when first read.
     """
 
-    __slots__ = ("_universe", "_blocks", "_index", "_numbered")
+    __slots__ = ("_universe", "_blocks", "_index")
 
     def __init__(self, universe: Iterable, classes: Iterable[Iterable]):
         universe = frozenset(universe)
@@ -369,7 +369,6 @@ class EquivRelation:
         self._universe = universe
         self._blocks = tuple(cls for cls in parts if len(cls) > 1)
         self._index = None
-        self._numbered = None
 
     @classmethod
     def from_blocks(cls, universe: Iterable, blocks: Iterable[Iterable]) -> "EquivRelation":
@@ -382,17 +381,6 @@ class EquivRelation:
         out._universe = frozenset(universe)
         out._blocks = tuple(map(frozenset, blocks))
         out._index = None
-        out._numbered = None
-        return out
-
-    @classmethod
-    def _of_numbers(cls, universe: frozenset, names: tuple, blocks: tuple) -> "EquivRelation":
-        """``from_blocks`` of ``blocks`` given as world numbers, each named
-        ``names[k]`` when the blocks are first read."""
-        out = object.__new__(cls)
-        out._universe = universe
-        out._blocks = out._index = None
-        out._numbered = (names, blocks)
         return out
 
     @property
@@ -401,10 +389,6 @@ class EquivRelation:
 
     def blocks(self) -> tuple:
         """The stored classes: those of two or more members."""
-        if self._blocks is None:
-            names, blocks = self._numbered
-            self._blocks = tuple(frozenset(map(names.__getitem__, b)) for b in blocks)
-            self._numbered = None
         return self._blocks
 
     def classes(self) -> tuple:
@@ -526,9 +510,11 @@ def is_equivalence(pairs: Iterable[tuple], universe: Iterable) -> bool:
 class PointedKripkeModel(Value):
     """Finite Kripke model with equivalence relations and a designated world.
 
-    Immutable after construction; evaluation never mutates the model. Its
-    integer core (``_Core``) comes with it when the encoder or the update
-    builds it, and is built from the named parts on first use otherwise.
+    Immutable after construction; evaluation never mutates the model. A
+    model the encoder or the update builds holds only its integer core
+    (``_Core``); ``worlds``, ``relations``, ``valuation`` and ``point`` are
+    views named from it when first read. A model built from named parts
+    holds them, shadowing the views, and gets its core on first use.
     """
 
     _fields = ("worlds", "relations", "valuation", "point")
@@ -568,21 +554,32 @@ class PointedKripkeModel(Value):
     def successors(self, agent: Agent, world: World) -> frozenset:
         return self.relation(agent).class_of(world)
 
+    @functools.cached_property
+    def worlds(self) -> frozenset:
+        return frozenset(self._core.names)
+
+    @functools.cached_property
+    def relations(self) -> dict:
+        names, worlds = self._core.names, self.worlds
+        return {
+            agent: EquivRelation.from_blocks(worlds, (map(names.__getitem__, b) for b in blocks))
+            for agent, blocks in self._core.blocks.items()
+        }
+
+    @functools.cached_property
+    def valuation(self) -> frozenset:
+        names = self._core.names
+        return frozenset(itertools.compress(names, _bits_of(self._core.valuation, len(names))))
+
+    @functools.cached_property
+    def point(self) -> World:
+        return self._core.names[self._core.point]
+
     @classmethod
     def _of_core(cls, core: "_Core") -> "PointedKripkeModel":
-        """The model ``core`` numbers, named through its name list; unchecked,
-        as the package built the core."""
-        names = core.names
-        worlds = frozenset(names)
+        """The model of ``core`` alone; unchecked, as the package built the
+        core."""
         model = object.__new__(cls)
-        _set(model, "worlds", worlds)
-        _set(model, "relations", {
-            agent: EquivRelation._of_numbers(worlds, names, blocks)
-            for agent, blocks in core.blocks.items()
-        })
-        valuation = itertools.compress(names, _bits_of(core.valuation, len(names)))
-        _set(model, "valuation", frozenset(valuation))
-        _set(model, "point", names[core.point])
         _set(model, "_core", core)
         return model
 
@@ -765,9 +762,8 @@ class Evaluator:
     formula node, which interning makes one object per distinct formula, so
     ``check``, ``mask``, ``sat_set`` and ``run`` answer from the memo when
     it holds what they ask. Otherwise ``run`` runs every step of the plan,
-    and the others a formula's one-root plan. The named methods (``bits``,
-    ``mask_of``, ``members``, ``sat_set``, ``check``) go through the core's
-    name list.
+    and the others a formula's one-root plan. The named methods
+    (``members``, ``sat_set``, ``check``) go through the core's name list.
     """
 
     __slots__ = ("model", "_core", "_full", "_masks", "_owners", "_position", "_component")
@@ -813,19 +809,9 @@ class Evaluator:
             (hit,) = self._run(plan_of((formula,)))
         return hit
 
-    @property
-    def bits(self) -> Mapping:
-        """Each world's bit, built on each call."""
-        return {w: 1 << k for k, w in enumerate(self._core.names)}
-
-    def mask_of(self, worlds: Iterable[World]) -> int:
-        """The bitmask of ``worlds``, all worlds of the model."""
-        return _mask_of(map(self._positions().__getitem__, worlds), len(self._core.names))
-
     def members(self, mask: int) -> Iterable[World]:
         """The worlds of ``mask``, in the checker's world order."""
-        # binary digits lowest bit first, as bytes 0/1 to select worlds by
-        return itertools.compress(self._core.names, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
+        return itertools.compress(self._core.names, _bits_of(mask, 0))
 
     def sat_set(self, formula: Formula) -> frozenset:
         return frozenset(self.members(self.mask(formula)))
@@ -842,7 +828,7 @@ class Evaluator:
         classes = self._core.masks
         for agent in plan.agents:
             if agent not in classes:
-                self.model.relation(agent)  # raises, naming the unknown index
+                raise ValueError(f"unknown agent index {agent.token}")
         masks = [None] * len(plan.steps)
         for slot, op, x, y in plan.steps:
             if op == _AND_NOT:

@@ -19,9 +19,10 @@ the stats of each encoding off the encoder (``encoded_stats``), so a
 re-encoded step walks one component: the product model's, in its decode.
 Each kept model runs one plan, the program's, and decode and stats read
 their formulas from that run; a product model about to be re-encoded runs
-only the decoder's plan. Every model comes with its integer core, built by
-the encoder or from the parent's by the update, and the checker, decode,
-stats and the next update read that core, so no model is numbered twice.
+only the decoder's plan. Every model is its integer core, built by the
+encoder or from the parent's by the update, and the checker, decode, stats,
+the next update and the DOT export read that core, so no model is numbered
+twice and nothing on a run names a model's worlds, relations or valuation.
 
 Product worlds are ``(parent, action)`` pairs. From step 2 on the loop passes
 the update a name for each parent: its index k among the step's sorted
@@ -42,7 +43,7 @@ from pathlib import Path
 from ._value import Value, _set
 from .action import DeterminismViolation, applicable_designated, product_update
 from .codec import DEFAULT_PADDING, EncodedModel, Malformed, decode, encode
-from .logic import Evaluator, PointedKripkeModel, sorted_worlds, world_label
+from .logic import Evaluator, PointedKripkeModel, _bits_of, world_label, world_sort_key
 from .machine import (
     HALTED,
     FiniteConfiguration,
@@ -71,14 +72,14 @@ def model_stats(model: PointedKripkeModel) -> ModelStats:
     ev = Evaluator.of(model)
     component = ev.component()
     cells = (ev.mask(cell_formula()) & component).bit_count()
-    worlds, reached = len(model.worlds), component.bit_count()
+    worlds, reached = len(ev._core.names), component.bit_count()
     return ModelStats(worlds, reached, cells, worlds - reached)
 
 
 def encoded_stats(encoded: EncodedModel) -> ModelStats:
     """``model_stats`` of an encoding, which is one component by
     construction."""
-    worlds = len(encoded.model.worlds)
+    worlds = len(encoded.model._numbered().names)
     return ModelStats(worlds, worlds, len(encoded.cells), 0)
 
 
@@ -193,7 +194,8 @@ def _stop_of(entry: StepEntry, max_steps: int) -> tuple[str, str | None] | None:
     if not entry.applicable:
         return "undefined-update", "no designated action applicable at the point"
     if len(entry.applicable) > 1:
-        violation = DeterminismViolation(entry.model.point, entry.applicable)
+        core = entry.model._numbered()
+        violation = DeterminismViolation(core.names[core.point], entry.applicable)
         return "determinism-violation", str(violation)
     return None
 
@@ -223,9 +225,10 @@ def _steps(spec, initial, max_steps, mode, reencode, padding, compiled):
         for index in range(max_steps + 1):
             if index:
                 names = None
-                if isinstance(model.point, tuple):
+                core = model._numbered()
+                if isinstance(core.names[core.point], tuple):
                     # every world is a (name, action) or (k, action) pair
-                    names = {w: k for k, w in enumerate(sorted(model.worlds, key=pair_sort_key))}
+                    names = {w: k for k, w in enumerate(sorted(core.names, key=pair_sort_key))}
                 model = product_update(model, program, names)
                 encoded = None
                 if oracle_state is not HALTED:
@@ -321,24 +324,27 @@ def _quote(text: str) -> str:
 
 def export_dot(model: PointedKripkeModel) -> str:
     """Undirected graph text: one node per world, one edge per non-reflexive
-    pair, labeled by the relation index. Nodes, classes and members are put
-    in ``sorted_worlds`` order here, whatever order the relations keep."""
+    pair, labeled by the relation index, read off the model's core. Nodes,
+    classes and members are put in ``world_sort_key`` order of their names."""
+    core = model._numbered()
+    names = core.names
+    values = _bits_of(core.valuation, len(names))
+    keys = list(map(world_sort_key, names))
     lines = ["graph model {", "  node [shape=circle];"]
-    rank = {}
+    rank = [0] * len(names)  # each world number's rank
     node = []  # quoted world names, by rank
-    for k, world in enumerate(sorted_worlds(model.worlds)):
-        label = world_label(world)
-        rank[world] = k
+    for r, k in enumerate(sorted(range(len(names)), key=keys.__getitem__)):
+        label = world_label(names[k])
+        rank[k] = r
         node.append(_quote(label))
-        attrs = _quote(label + (" p" if world in model.valuation else " ¬p"))
-        if world == model.point:
+        attrs = _quote(label + (" p" if values[k] else " ¬p"))
+        if k == core.point:
             attrs += ", peripheries=2"
-        lines.append(f"  {node[k]} [label={attrs}];")
-    for agent in sorted(model.relations, key=lambda a: a.token):
+        lines.append(f"  {node[r]} [label={attrs}];")
+    for agent in sorted(core.blocks, key=lambda a: a.token):
         suffix = f" [label={_quote(agent.token)}];"
-        blocks = model.relations[agent].blocks()
         # blocks are disjoint, so their sorted rank lists sort by least rank
-        for ranks in sorted(sorted(map(rank.__getitem__, block)) for block in blocks):
+        for ranks in sorted(sorted(map(rank.__getitem__, block)) for block in core.blocks[agent]):
             members = [node[k] for k in ranks]
             for i, left in enumerate(members):
                 for right in members[i + 1 :]:

@@ -23,6 +23,7 @@ from .logic import (
     Plan,
     PointedKripkeModel,
     _bits_of,
+    _block_mask,
     _Core,
     _mask_of_bits,
     closure,
@@ -84,8 +85,8 @@ class EpistemicProgram(Value):
 
     def _layout(self) -> tuple:
         """``plan``, each root's actions, each designated action in id order
-        with its root's position, and per agent each action's block
-        position, for an action in a block of two or more."""
+        with its root's position, and per agent each action's class (block
+        position, or the action if alone) and each one-action root's."""
         layout = self.__dict__.get("_plan_layout")
         if layout is None:
             by_root: dict = {}  # precondition -> its actions, in action order
@@ -93,12 +94,13 @@ class EpistemicProgram(Value):
                 by_root.setdefault(self.pre[action], []).append(action)
             position = {root: i for i, root in enumerate(by_root)}
             designated = tuple((a, position[self.pre[a]]) for a in sorted(self.designated))
-            blocks = {
-                agent: {a: i for i, block in enumerate(relation.blocks()) for a in block}
-                for agent, relation in self.relations.items()
-            }
             roots = tuple(map(tuple, by_root.values()))
-            layout = (plan_of(tuple(by_root)), roots, designated, blocks)
+            classes = {}
+            for agent, relation in self.relations.items():
+                class_of = dict(zip(self.actions, self.actions))
+                class_of.update((a, i) for i, block in enumerate(relation.blocks()) for a in block)
+                classes[agent] = (class_of, {r: class_of[r[0]] for r in roots if len(r) == 1})
+            layout = (plan_of(tuple(by_root)), roots, designated, classes)
             _set(self, "_plan_layout", layout)
         return layout
 
@@ -169,13 +171,14 @@ def product_update(
     of world w by action a is (w, a), so lineage stays inspectable, or
     (names[w], a) when ``names``, a one-to-one map of the worlds, is given.
     The child is its core alone, built from the parent's: the children are
-    numbered parent by parent, in the parent's order.
+    numbered parent by parent, and each relation is built in one pass over
+    the parent's blocks, each child block with its mask.
     """
     ev = Evaluator.of(model)
     core = ev._core
     if core.blocks.keys() != program.relations.keys():
         raise ValueError("model and program use different agent universes")
-    plan, root_actions, designated, action_blocks = program._layout()
+    plan, root_actions, designated, action_classes = program._layout()
     masks = ev.run(plan)
     chosen = _designated(masks, core.point, designated)
     if not chosen:
@@ -183,53 +186,82 @@ def product_update(
     if len(chosen) > 1:
         raise DeterminismViolation(core.names[core.point], chosen)
 
-    kids: dict = {}  # parent number -> its actions, by precondition
+    # parent p's children are first[p].., one per action in kids[p]
+    n = len(core.names)
+    kids = [()] * n
     for mask, actions in zip(masks, root_actions):
         if mask:
-            for parent in itertools.compress(itertools.count(), _bits_of(mask, 0)):
-                kids[parent] = kids[parent] + actions if parent in kids else actions
-    # children are numbered parent by parent, those of parent p from first[p]
-    # on, one per action in kids[p]
-    order = sorted(kids)
-    counts = list(map(len, map(kids.__getitem__, order)))
-    first = dict(zip(order, itertools.accumulate(counts, initial=0)))
-    branching = list(itertools.compress(order, map((1).__lt__, counts)))
-    parent_of = sorted(order + [p for p in branching for _ in kids[p][1:]])
-    action_of = list(itertools.chain.from_iterable(map(kids.__getitem__, order)))
+            low = (mask & -mask).bit_length() - 1
+            for parent in itertools.compress(itertools.count(low), _bits_of(mask >> low, 0)):
+                kids[parent] += actions
+    counts = list(map(len, kids))
+    first = list(itertools.accumulate(counts, initial=0))
+    branching = list(itertools.compress(range(n), map((1).__lt__, counts)))
+    # one sort merges two runs: the parents with a child, then the extra
+    # children's parents
+    extra = [p for p in branching for _ in kids[p][1:]]
+    parent_of = sorted([*itertools.compress(range(n), counts), *extra])
+    action_of = list(itertools.chain.from_iterable(kids))
     label = core.names if names is None else list(map(names.__getitem__, core.names))
     worlds = tuple(zip(map(label.__getitem__, parent_of), action_of))
 
     # (w,a) ~i (v,b) iff w ~i v and a ~i b, so two product worlds share a
     # class of two or more only if their parents share a block, or they are
-    # children of one parent by two actions of one program block: one pass
-    # over the model's blocks, then over each branching parent alone in its
-    # class, groups the children by (class, program block or lone action).
-    # Program block positions are ints and action ids strings, so the keys
-    # never clash.
+    # children of one parent by two actions of one program class. A parent's
+    # tag is its only child's program class, or else ~p, which no other tag
+    # equals: a pair block with equal tags gives the child pair. Other blocks
+    # with a branching parent, larger blocks and lone branching parents are
+    # grouped by program class.
     blocks = {}
+    block_masks = {}
     for agent, parent_blocks in core.blocks.items():
-        action_block = action_blocks[agent].get
-        owner = ev._owner(agent) if branching and parent_blocks else None
-        lone = [(p,) for p in branching if owner is None or owner[p] is None]
-        groups: dict = {}
-        for i, cls in enumerate(itertools.chain(parent_blocks, lone)):
-            for parent in cls:
-                child = first.get(parent)
-                if child is None:
+        class_of, single = action_classes[agent]
+        out: list = []
+        out_masks: list = []
+        placed: set = set()
+        tag = single.get
+        for block in parent_blocks:
+            if len(block) == 2:
+                p, q = block
+                if tag(kids[p], ~p) == tag(kids[q], ~q):
+                    c, d = first[p], first[q]
+                    out.append((c, d))
+                    out_masks.append(1 << c | 1 << d)
                     continue
-                for action in kids[parent]:
-                    key = (i, action_block(action, action))
-                    if key in groups:
-                        groups[key].append(child)
-                    else:
-                        groups[key] = [child]
-                    child += 1
-        blocks[agent] = tuple(tuple(group) for group in groups.values() if len(group) > 1)
+                if counts[p] < 2 and counts[q] < 2:
+                    continue
+            placed.update(block)
+            _group(block, kids, first, class_of, out, out_masks)
+        for parent in branching:
+            if parent not in placed:
+                _group((parent,), kids, first, class_of, out, out_masks)
+        blocks[agent] = tuple(out)
+        block_masks[agent] = out_masks
 
-    inherited = map(_bits_of(core.valuation, len(core.names)).__getitem__, parent_of)
+    inherited = map(_bits_of(core.valuation, n).__getitem__, parent_of)
     values = bytes(map(program.post.get, action_of, inherited))
     point = first[core.point] + kids[core.point].index(chosen[0])
-    return PointedKripkeModel._of_core(_Core(worlds, blocks, _mask_of_bits(values), point))
+    child = _Core(worlds, blocks, block_masks, _mask_of_bits(values), point)
+    return PointedKripkeModel._of_core(child)
+
+
+def _group(parents, kids, first, class_of, out, out_masks) -> None:
+    """Append each set of two or more children of ``parents`` (one class)
+    sharing a program class to ``out``, its mask to ``out_masks``."""
+    groups: dict = {}
+    for parent in parents:
+        child = first[parent]
+        for action in kids[parent]:
+            key = class_of[action]
+            if key in groups:
+                groups[key].append(child)
+            else:
+                groups[key] = [child]
+            child += 1
+    for group in groups.values():
+        if len(group) > 1:
+            out.append(tuple(group))
+            out_masks.append(_block_mask(group))
 
 
 # ---------------------------------------------------------------------------

@@ -106,16 +106,20 @@ def _build_tape_model(
     names = (*cells.values(), *symbols.values(), head_world)
     number = {j: len(cells) + i for i, j in enumerate(symbols)}  # each symbol world's
 
-    # Each relation's generator pairs are disjoint, so they are its blocks.
-    blocks = {
-        TAPE_A: tuple((j - lo, j + 1 - lo) for j in range(lo, hi) if j % 2 == 0),
-        TAPE_B: tuple((j - lo, j + 1 - lo) for j in range(lo, hi) if j % 2 == 1),
-        SYMBOL: tuple((j - lo, number[j]) for j in symbols),
-    }
+    # Each relation's generator pairs are disjoint, so they are its blocks;
+    # a pairs cell k with k + 1 where lo + k is even, b where it is odd.
+    starts = {TAPE_A: range(lo % 2, hi - lo, 2), TAPE_B: range(1 - lo % 2, hi - lo, 2)}
+    blocks = {agent: tuple((k, k + 1) for k in ks) for agent, ks in starts.items()}
+    masks = {agent: [3 << k for k in ks] for agent, ks in starts.items()}
+    blocks[SYMBOL] = tuple((j - lo, number[j]) for j in symbols)
     for q in states:
         blocks[state_agent(q)] = ((head - lo, len(names) - 1),) if q == state else ()
+    for agent, pairs in blocks.items():
+        if agent not in masks:
+            masks[agent] = [1 << x | 1 << y for x, y in pairs]
     values = [j % 2 == 0 for j in cells] + [j % 2 == 0 for j in symbols] + [head % 2 == 0]
-    return _Core(names, blocks, _mask_of_bits(bytes(values)), -lo), cells, symbols, head_world
+    core = _Core(names, blocks, masks, _mask_of_bits(bytes(values)), -lo)
+    return core, cells, symbols, head_world
 
 
 def encode(

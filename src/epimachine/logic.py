@@ -614,21 +614,24 @@ def _mask_of(indices: Iterable[int], size: int) -> int:
     return _mask_of_bits(bits)
 
 
+def _block_mask(block: Iterable[int]) -> int:
+    """The mask of a block's distinct world numbers, one shift per member."""
+    return sum(map((1).__lshift__, block))
+
+
 class _Core:
     """A model's worlds numbered 0..n-1: their names in that order, each
     relation's blocks as tuples of world numbers and as masks (bit k for
-    world k), the valuation as one mask and the point as a number. A core
+    world k), the valuation as one mask and the point as a number. Whoever
+    builds a core gives each block's mask with it, in block order. A core
     refers to no other model or core."""
 
     __slots__ = ("names", "blocks", "masks", "valuation", "point")
 
-    def __init__(self, names: tuple, blocks: Mapping, valuation: int, point: int):
+    def __init__(self, names: tuple, blocks: Mapping, masks: Mapping, valuation: int, point: int):
         self.names = names
         self.blocks = blocks
-        self.masks = {  # most blocks are pairs
-            agent: [(1 << b[0]) | (1 << b[1]) if len(b) == 2 else _mask_of(b, max(b) + 1) for b in bs]
-            for agent, bs in blocks.items()
-        }
+        self.masks = masks
         self.valuation = valuation
         self.point = point
 
@@ -642,8 +645,9 @@ class _Core:
             agent: tuple(tuple(map(position, block)) for block in relation.blocks())
             for agent, relation in model.relations.items()
         }
+        masks = {agent: list(map(_block_mask, bs)) for agent, bs in blocks.items()}
         valuation = _mask_of(map(position, model.valuation), len(names))
-        return cls(names, blocks, valuation, position(model.point))
+        return cls(names, blocks, masks, valuation, position(model.point))
 
 
 def make_model(
@@ -839,9 +843,10 @@ class Evaluator:
                 # clear each class that meets the worlds failing the inner formula
                 out = masks[y] if op == _BOX_NOT else full ^ masks[y]
                 value = full ^ out
-                for block in classes[x]:
-                    if out & block:
-                        value &= ~block
+                if out:
+                    for block in classes[x]:
+                        if out & block:
+                            value &= ~block
                 masks[slot] = value
             elif op == _AND:
                 masks[slot] = masks[x] & masks[y]

@@ -9,6 +9,7 @@ immaterial while absolute cell positions are not.
 
 from __future__ import annotations
 
+import itertools
 from typing import Mapping
 
 from ._value import Value, _set
@@ -119,7 +120,7 @@ class FiniteConfiguration(Value):
             raise ValueError("tape length does not match the window")
         if not lo <= head <= hi:
             raise ValueError(f"head {head} outside window [{lo}, {hi}]")
-        if any(symbol not in (0, 1) for symbol in tape):
+        if tape.count(0) + tape.count(1) != len(tape):  # each symbol equals 0 or 1
             raise ValueError("tape symbols must be 0 or 1")
 
     def symbol_at(self, position: int) -> int:
@@ -133,7 +134,7 @@ class FiniteConfiguration(Value):
 
     def one_positions(self) -> tuple[int, ...]:
         lo = self.window[0]
-        return tuple(lo + i for i, s in enumerate(self.tape) if s == 1)
+        return tuple(itertools.compress(range(lo, lo + len(self.tape)), self.tape))
 
     def tape_text(self) -> str:
         return "".join(str(s) for s in self.tape)

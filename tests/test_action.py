@@ -18,7 +18,9 @@ from epimachine.logic import (
     TAPE_A,
     TAPE_B,
     TOP,
+    PointedKripkeModel,
     box,
+    conj,
     make_model,
     neg,
     s5_defect,
@@ -293,6 +295,84 @@ def test_product_update_matches_the_pairwise_definition(rng, fragments):
         (w, a) for (w, a) in expected_worlds if program.post.get(a, w in model.valuation)
     }
     assert updated.point == (model.point, "act0")
+    assert s5_defect(updated) is None
+
+
+def _split_instance(rng, fragments):
+    """A random partition model with a fixed part u ~a v ~b x, p true at u
+    and x only, and a program whose preconditions split the worlds into six
+    cells by p, [a]p, [b]p and [a]~p. The cells of u and v get one action
+    each, unrelated under a, and the cell of x none, so two related parents
+    with one child each carry unrelated actions, and a childless parent is
+    related to a parent with one child. Each other cell gets no action, one
+    or two, so the random part also has branching parents. The relations
+    join random actions, and the one designated action is one of the
+    point's. Also returns each world's actions."""
+    base = random_partition_model(rng, AGENTS, fragments)
+    witness = {TAPE_A: {("u", "v")}, TAPE_B: {("v", "x")}}
+    model = make_model(
+        base.worlds | {"u", "v", "x"},
+        {agent: base.relations[agent].pairs() | witness[agent] for agent in AGENTS},
+        base.valuation | {"u", "x"},
+        base.point,
+    )
+    a_p, b_p, a_not_p = box(TAPE_A, P), box(TAPE_B, P), box(TAPE_A, neg(P))
+    cells = [  # (precondition, action count): u, x and v lie in the first three
+        (conj(P, conj(b_p, neg(a_p))), 1),
+        (conj(P, conj(neg(b_p), a_p)), 0),
+        (conj(neg(P), neg(a_not_p)), 1),
+        (conj(P, conj(b_p, a_p)), rng.choice((0, 1, 2))),
+        (conj(P, conj(neg(b_p), neg(a_p))), rng.choice((0, 1, 2))),
+        (conj(neg(P), a_not_p), rng.choice((0, 1, 2))),
+    ]
+    pre = {}
+    for cell, count in cells:
+        for _ in range(count):
+            pre[f"act{len(pre)}"] = cell
+    sat = {cell: brute_sat_set(model, cell) for cell, _ in cells}
+    kids = {w: [a for a in pre if w in sat[pre[a]]] for w in model.worlds}
+    assert (kids["u"], kids["x"], kids["v"]) == (["act0"], [], ["act1"])
+    pairs = {}
+    for agent in AGENTS:
+        rest = rng.sample(list(pre), len(pre))
+        pairs[agent] = []
+        while rest:
+            size = rng.choice((1, 2, 3))
+            pairs[agent] += zip(rest[: size - 1], rest[1:size])
+            del rest[:size]
+    pairs[TAPE_A] = [pair for pair in pairs[TAPE_A] if "act1" not in pair]  # act1 alone under a
+    point = rng.choice(sorted(w for w in model.worlds if kids[w]))
+    model = PointedKripkeModel(model.worlds, model.relations, model.valuation, point)
+    post = {a: rng.random() < 0.5 for a in pre if rng.random() < 0.5}
+    program = build_program(pre, pairs, pre, post, (rng.choice(kids[point]),))
+    return model, program, kids
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3))
+@settings(max_examples=200)
+def test_split_update_matches_the_pairwise_definition(rng, fragments):
+    """Preconditions that split the worlds: every example has two related
+    parents with one child each whose actions are unrelated, so their
+    children are not related, and a childless parent related to a parent
+    with one child."""
+    model, program, kids = _split_instance(rng, fragments)
+    updated = product_update(model, program)
+    expected_worlds = {(w, a) for w in model.worlds for a in kids[w]}
+    assert updated.worlds == expected_worlds
+    for agent in AGENTS:
+        expected_pairs = {
+            (x, y)
+            for x in expected_worlds
+            for y in expected_worlds
+            if model.relations[agent].related(x[0], y[0])
+            and program.relations[agent].related(x[1], y[1])
+        }
+        assert updated.relations[agent].pairs() == expected_pairs
+    assert updated.valuation == {
+        (w, a) for (w, a) in expected_worlds if program.post.get(a, w in model.valuation)
+    }
+    (designated,) = program.designated
+    assert updated.point == (model.point, designated)
     assert s5_defect(updated) is None
 
 

@@ -9,6 +9,7 @@ most one of them may apply at the source point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from typing import Iterable, Mapping
@@ -172,7 +173,9 @@ def product_update(
     (names[w], a) when ``names``, a one-to-one map of the worlds, is given.
     The child is its core alone, built from the parent's: the children are
     numbered parent by parent, and each relation is built in one pass over
-    the parent's blocks, each child block with its mask.
+    the parent's blocks, each child block with its mask. The child's worlds
+    are named when first read; an encoding parent is left unnamed till then,
+    any other parent is named now.
     """
     ev = Evaluator.of(model)
     core = ev._core
@@ -187,7 +190,7 @@ def product_update(
         raise DeterminismViolation(core.names[core.point], chosen)
 
     # parent p's children are first[p].., one per action in kids[p]
-    n = len(core.names)
+    n = core.size
     kids = [()] * n
     for mask, actions in zip(masks, root_actions):
         if mask:
@@ -202,8 +205,12 @@ def product_update(
     extra = [p for p in branching for _ in kids[p][1:]]
     parent_of = sorted([*itertools.compress(range(n), counts), *extra])
     action_of = list(itertools.chain.from_iterable(kids))
-    label = core.names if names is None else list(map(names.__getitem__, core.names))
-    worlds = tuple(zip(map(label.__getitem__, parent_of), action_of))
+    if names is not None:
+        label = list(map(names.__getitem__, core.names))
+    elif type(core._names) is tuple or core._names.func is _product_names:
+        label = core.names  # a product is named now, so no chain of namers builds up
+    else:  # an encoding's namer, which holds a few numbers
+        label = core._names
 
     # (w,a) ~i (v,b) iff w ~i v and a ~i b, so two product worlds share a
     # class of two or more only if their parents share a block, or they are
@@ -241,8 +248,17 @@ def product_update(
     inherited = map(_bits_of(core.valuation, n).__getitem__, parent_of)
     values = bytes(map(program.post.get, action_of, inherited))
     point = first[core.point] + kids[core.point].index(chosen[0])
-    child = _Core(worlds, blocks, block_masks, _mask_of_bits(values), point)
+    namer = functools.partial(_product_names, label, parent_of, action_of)
+    child = _Core(len(parent_of), namer, blocks, block_masks, _mask_of_bits(values), point)
     return PointedKripkeModel._of_core(child)
+
+
+def _product_names(label, parent_of, action_of) -> tuple:
+    """The names of a product's worlds, (label of the parent, action); the
+    parents' labels are given, or made by the namer ``label``."""
+    if callable(label):
+        label = label()
+    return tuple(zip(map(label.__getitem__, parent_of), action_of))
 
 
 def _group(parents, kids, first, class_of, out, out_masks) -> None:

@@ -7,8 +7,9 @@ attached through the relation of the current state. The atom p holds
 exactly at even absolute positions, which is what makes the cell chain
 walkable and the end cells recognizable. Every relation of an encoding
 pairs disjoint worlds, so the encoder writes the model's integer core down
-directly, and nothing else: the model names its worlds only when they are
-read. It refuses a cell span above ``MAX_SPAN`` before building anything.
+directly, slicing its cell pairs, their masks and parity bits from shared
+tables; the core names its worlds only when they are read. It refuses a
+cell span above ``MAX_SPAN`` before building anything.
 
 Decoding works on the connected component of the designated world and
 anchors absolute position 0 at that world, on world numbers. The component
@@ -21,8 +22,9 @@ survive updates exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ._value import Value, _set
 from .logic import (
@@ -55,7 +57,10 @@ class Malformed(Value):
 
 
 class EncodedModel(Value):
-    """Encoder output: the model plus position/world bookkeeping."""
+    """Encoder output: the model plus position/world bookkeeping. An encoding
+    the encoder builds holds the model and ``ceil_u``; ``cells``,
+    ``symbols`` and ``head_world`` are read off the model's core when first
+    read."""
 
     _fields = ("model", "cells", "symbols", "head_world", "ceil_u")
 
@@ -73,6 +78,34 @@ class EncodedModel(Value):
         _set(self, "head_world", head_world)
         _set(self, "ceil_u", ceil_u)
 
+    @classmethod
+    def _of_model(cls, model: PointedKripkeModel, ceil_u: int) -> "EncodedModel":
+        encoded = object.__new__(cls)
+        _set(encoded, "model", model)
+        _set(encoded, "ceil_u", ceil_u)
+        return encoded
+
+    @functools.cached_property
+    def cells(self) -> dict:
+        core = self.model._numbered()
+        lo = -core.point  # the point is cell 0
+        return dict(zip(range(lo, lo + _cell_count(core)), core.names))
+
+    @functools.cached_property
+    def symbols(self) -> dict:
+        core = self.model._numbered()
+        return {cell - core.point: core.names[world] for cell, world in core.blocks[SYMBOL]}
+
+    @functools.cached_property
+    def head_world(self) -> str:
+        return self.model._numbered().names[-1]
+
+
+def _cell_count(core: _Core) -> int:
+    """The cells of an encoding's core: every world but the symbol worlds
+    and the head world."""
+    return core.size - len(core.blocks[SYMBOL]) - 1
+
 
 def ceil_even(window: tuple[int, int]) -> int:
     """max(|k|, |k'|) rounded up to the nearest even integer."""
@@ -83,43 +116,70 @@ def ceil_even(window: tuple[int, int]) -> int:
     return bound if bound % 2 == 0 else bound + 1
 
 
+# The parts of an encoding that depend on positions alone, shared by every
+# encoding: cell pair k is (k, k + 1) with mask 3 << k, and _EVEN[k] is 1
+# iff k is even. The pair tables grow on demand up to the longest chain an
+# encoding has; only a decode gives a longer one, which gets its own.
+_MAX_CELLS = 2 * MAX_SPAN + 1
+_PAIRS: list = []
+_PAIR_MASKS: list = []
+_EVEN = b"\1\0" * (MAX_SPAN + 1)
+
+
+def _tables(cells: int):
+    """The pair table, mask table and even-bit bytes for a chain of ``cells``
+    cells."""
+    shared = cells <= _MAX_CELLS
+    pairs, masks = (_PAIRS, _PAIR_MASKS) if shared else ([], [])
+    k = len(pairs)
+    if k < cells - 1:
+        ks = range(k, cells - 1)
+        pairs.extend(zip(ks, range(k + 1, cells)))
+        masks.extend(map((3).__lshift__, ks))
+    return pairs, masks, _EVEN if shared else b"\1\0" * (cells // 2 + 1)
+
+
+def _tape_names(lo: int, hi: int, ones: tuple[int, ...], head: int) -> tuple:
+    """The world names of an encoding, in chain order."""
+    return (*map("c[{}]".format, range(lo, hi + 1)), *map("s[{}]".format, ones), f"h[{head}]")
+
+
 def _build_tape_model(
     lo: int,
     hi: int,
-    ones: Iterable[int],
+    ones: tuple[int, ...],
     head: int,
     state: str,
     states: tuple[str, ...],
-):
-    """Core of the model for cells lo..hi with the given 1-positions, head,
-    and state, which numbers the worlds in chain order: the cells from lo,
-    then the symbol worlds in position order, then the head world."""
+) -> _Core:
+    """Core of the model for cells lo..hi with the given 1-positions (in
+    increasing order), head, and state, which numbers the worlds in chain
+    order: the cells from lo, then the symbol worlds in position order, then
+    the head world. Its worlds are named when first read."""
     if not lo <= 0 <= hi:
         raise ValueError("cell range must contain position 0")
     if not lo <= head <= hi:
         raise ValueError("head outside the cell range")
-    cells = {j: f"c[{j}]" for j in range(lo, hi + 1)}
-    symbols = {j: f"s[{j}]" for j in sorted(ones)}
-    if any(j not in cells for j in symbols):
+    if ones and not lo <= ones[0] <= ones[-1] <= hi:
         raise ValueError("symbol outside the cell range")
-    head_world = f"h[{head}]"
-    names = (*cells.values(), *symbols.values(), head_world)
-    number = {j: len(cells) + i for i, j in enumerate(symbols)}  # each symbol world's
+    cells = hi - lo + 1
+    size = cells + len(ones) + 1
+    pairs, pair_masks, even = _tables(cells)
 
     # Each relation's generator pairs are disjoint, so they are its blocks;
     # a pairs cell k with k + 1 where lo + k is even, b where it is odd.
-    starts = {TAPE_A: range(lo % 2, hi - lo, 2), TAPE_B: range(1 - lo % 2, hi - lo, 2)}
-    blocks = {agent: tuple((k, k + 1) for k in ks) for agent, ks in starts.items()}
-    masks = {agent: [3 << k for k in ks] for agent, ks in starts.items()}
-    blocks[SYMBOL] = tuple((j - lo, number[j]) for j in symbols)
+    a, b = lo % 2, 1 - lo % 2
+    blocks = {TAPE_A: tuple(pairs[a : cells - 1 : 2]), TAPE_B: tuple(pairs[b : cells - 1 : 2])}
+    masks = {TAPE_A: pair_masks[a : cells - 1 : 2], TAPE_B: pair_masks[b : cells - 1 : 2]}
+    blocks[SYMBOL] = tuple(zip([j - lo for j in ones], range(cells, size - 1)))
+    masks[SYMBOL] = [1 << x | 1 << y for x, y in blocks[SYMBOL]]
     for q in states:
-        blocks[state_agent(q)] = ((head - lo, len(names) - 1),) if q == state else ()
-    for agent, pairs in blocks.items():
-        if agent not in masks:
-            masks[agent] = [1 << x | 1 << y for x, y in pairs]
-    values = [j % 2 == 0 for j in cells] + [j % 2 == 0 for j in symbols] + [head % 2 == 0]
-    core = _Core(names, blocks, masks, _mask_of_bits(bytes(values)), -lo)
-    return core, cells, symbols, head_world
+        current = q == state
+        blocks[state_agent(q)] = ((head - lo, size - 1),) if current else ()
+        masks[state_agent(q)] = [1 << (head - lo) | 1 << (size - 1)] if current else []
+    values = even[a : a + cells] + bytes([j % 2 == 0 for j in (*ones, head)])
+    names = functools.partial(_tape_names, lo, hi, ones, head)
+    return _Core(size, names, blocks, masks, _mask_of_bits(values), -lo)
 
 
 def encode(
@@ -140,10 +200,8 @@ def encode(
     span = ceil_even(config.window) + padding
     if span > MAX_SPAN:
         raise ValueError(f"cell span {span} exceeds the limit of {MAX_SPAN} (cells -span..span)")
-    core, cells, symbols, head_world = _build_tape_model(
-        -span, span, config.one_positions(), config.head, config.state, states
-    )
-    return EncodedModel(PointedKripkeModel._of_core(core), cells, symbols, head_world, span - padding)
+    core = _build_tape_model(-span, span, config.one_positions(), config.head, config.state, states)
+    return EncodedModel._of_model(PointedKripkeModel._of_core(core), span - padding)
 
 
 def component_of_point(model: PointedKripkeModel) -> frozenset:
@@ -159,7 +217,6 @@ def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
     order."""
     ev = Evaluator.of(model)
     core = ev._core
-    names = core.names
     component = ev.component()
     fixed = (cell_formula(), leftmost_formula(), rightmost_formula(), digit_formula(1))
     plan = plan_of(fixed + tuple(map(head_formula, states)))
@@ -180,7 +237,7 @@ def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
     # Walk the chain left to right. From a p-cell the right neighbor is its
     # a-partner, from a non-p-cell its b-partner; both must be the other
     # member of a block of exactly two along the way.
-    n = len(names)
+    n = core.size
     is_cell = _bits_of(cells, n)
     values = _bits_of(core.valuation, n)
     tape = [(ev._owner(agent), core.blocks[agent]) for agent in (TAPE_B, TAPE_A)]  # by p
@@ -193,13 +250,14 @@ def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
         i = owner[current]
         block = () if i is None else blocks[i]
         if len(block) != 2:
-            return Malformed(f"alternation violated at {world_label(names[current])}")
+            return Malformed(f"alternation violated at {world_label(core.names[current])}")
         first, second = block
         nxt = second if first == current else first
         if not is_cell[nxt]:
-            return Malformed(f"tape relation leaves the cells at {world_label(names[current])}")
+            label = world_label(core.names[current])
+            return Malformed(f"tape relation leaves the cells at {label}")
         if visited[nxt]:
-            return Malformed(f"cell chain cycles at {world_label(names[nxt])}")
+            return Malformed(f"cell chain cycles at {world_label(core.names[nxt])}")
         chain.append(nxt)
         visited[nxt] = 1
         current = nxt
@@ -256,7 +314,7 @@ def validate_encoding(model: PointedKripkeModel, states: Sequence[str]) -> tuple
     core, component = ev._core, ev.component()
     lo, hi = config.window
     ones = config.one_positions()
-    expected = _build_tape_model(lo, hi, ones, config.head, config.state, states)[0]
+    expected = _build_tape_model(lo, hi, ones, config.head, config.state, states)
 
     def attached(agent, world, skip):
         """The worlds of ``world``'s block of ``agent`` that are not in ``skip``."""
@@ -276,23 +334,23 @@ def validate_encoding(model: PointedKripkeModel, states: Sequence[str]) -> tuple
     head = attached(state_agent(config.state), head_cell, (head_cell,))
     if len(head) != 1:
         return False, "head attachment is not a single world"
-    mapping[head[0]] = len(expected.names) - 1
+    mapping[head[0]] = expected.size - 1
 
-    if _mask_of(mapping, len(core.names)) != component:
+    if _mask_of(mapping, core.size) != component:
         return False, f"component has {component.bit_count()} worlds, expected {len(mapping)}"
 
     if core.blocks.keys() != expected.blocks.keys():
         return False, "agent universe mismatch"
     # no expected number is given twice, so the map is one-to-one; when it is
     # onto, two partitions agree iff their blocks do
-    onto = len(mapping) == len(expected.names)
+    onto = len(mapping) == expected.size
     for agent in sorted(core.blocks, key=lambda a: a.token):
         image = (frozenset(mapping[w] for w in block if component >> w & 1) for block in core.blocks[agent])
         if not onto or {b for b in image if len(b) > 1} != set(map(frozenset, expected.blocks[agent])):
             return False, f"relation {agent.token} differs from the encoding"
 
     valued = itertools.compress(itertools.count(), _bits_of(component & core.valuation, 0))
-    if _mask_of(map(mapping.__getitem__, valued), len(expected.names)) != expected.valuation:
+    if _mask_of(map(mapping.__getitem__, valued), expected.size) != expected.valuation:
         return False, "valuation differs from the encoding"
     if mapping[core.point] != expected.point:
         return False, "point differs from the encoding"

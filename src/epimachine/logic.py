@@ -11,16 +11,16 @@ costs nothing, so the work on a relation follows the worlds it links, not
 its universe. The public constructor checks a full partition in one pass;
 partitions the package builds itself skip the check. Relation indices are
 interned like formula nodes, so an index hashes by identity. Each model has
-one integer core: its worlds numbered 0..n-1, each relation's blocks as
-number tuples and masks, the valuation as one mask. A model the encoder or
-the update builds is its core alone, and its worlds, relations, valuation
-and point are named from the core when first read; a model built from named
-parts numbers its worlds on first use. The checker reads the core and keeps
-satisfaction sets as integer bitmasks. It evaluates plans: a plan, compiled
-once for a tuple of root formulas, has one step per distinct node that is
-not a negation, with each chain of negations folded into its operand's
-parity, and runs as one flat pass per model whose masks are memoized on the
-formula nodes.
+one integer core: its worlds numbered 0..n-1 and named when first read,
+each relation's blocks as number tuples and masks, the valuation as one
+mask. A model the encoder or the update builds is its core alone, and its
+worlds, relations, valuation and point are named from the core when first
+read; a model built from named parts numbers its worlds on first use. The
+checker reads the core and keeps satisfaction sets as integer bitmasks. It
+evaluates plans: a plan, compiled once for a tuple of root formulas, has
+one step per distinct node that is not a negation, with each chain of
+negations folded into its operand's parity, and runs as one flat pass per
+model whose masks are memoized on the formula nodes.
 """
 
 from __future__ import annotations
@@ -620,20 +620,29 @@ def _block_mask(block: Iterable[int]) -> int:
 
 
 class _Core:
-    """A model's worlds numbered 0..n-1: their names in that order, each
+    """A model's worlds numbered 0..size-1: their names in that order, each
     relation's blocks as tuples of world numbers and as masks (bit k for
     world k), the valuation as one mask and the point as a number. Whoever
-    builds a core gives each block's mask with it, in block order. A core
-    refers to no other model or core."""
+    builds a core gives each block's mask with it, in block order, and the
+    names either as a tuple or as a namer, a callable that makes the tuple
+    when ``names`` is first read. A core refers to no other model or core."""
 
-    __slots__ = ("names", "blocks", "masks", "valuation", "point")
+    __slots__ = ("size", "_names", "blocks", "masks", "valuation", "point", "__weakref__")
 
-    def __init__(self, names: tuple, blocks: Mapping, masks: Mapping, valuation: int, point: int):
-        self.names = names
+    def __init__(self, size: int, names, blocks: Mapping, masks: Mapping, valuation: int, point: int):
+        self.size = size
+        self._names = names
         self.blocks = blocks
         self.masks = masks
         self.valuation = valuation
         self.point = point
+
+    @property
+    def names(self) -> tuple:
+        names = self._names
+        if type(names) is not tuple:
+            names = self._names = names()
+        return names
 
     @classmethod
     def of_named(cls, model: PointedKripkeModel) -> "_Core":
@@ -647,7 +656,7 @@ class _Core:
         }
         masks = {agent: list(map(_block_mask, bs)) for agent, bs in blocks.items()}
         valuation = _mask_of(map(position, model.valuation), len(names))
-        return cls(names, blocks, masks, valuation, position(model.point))
+        return cls(len(names), names, blocks, masks, valuation, position(model.point))
 
 
 def make_model(
@@ -776,7 +785,7 @@ class Evaluator:
     def __init__(self, model: PointedKripkeModel):
         self.model = model
         self._core = model._numbered()
-        self._full = (1 << len(self._core.names)) - 1
+        self._full = (1 << self._core.size) - 1
         self._masks: dict = {}
         self._owners: dict = {}  # agent -> each world's block position, or None
         self._position = None  # world name -> number, built on first use
@@ -864,7 +873,7 @@ class Evaluator:
         alone in its class; built once per checker."""
         owner = self._owners.get(agent)
         if owner is None:
-            owner = self._owners[agent] = [None] * len(self._core.names)
+            owner = self._owners[agent] = [None] * self._core.size
             for i, block in enumerate(self._core.blocks[agent]):
                 for k in block:
                     owner[k] = i
@@ -881,7 +890,7 @@ class Evaluator:
             relations = [
                 (self._owner(agent), list(blocks)) for agent, blocks in core.blocks.items() if blocks
             ]
-            seen = bytearray(len(core.names))
+            seen = bytearray(core.size)
             seen[core.point] = 1
             frontier = [core.point]
             for world in frontier:

@@ -202,7 +202,8 @@ def normalize(config: FiniteConfiguration) -> FiniteConfiguration:
     marks = config.one_positions()
     lo = min((config.head, *marks))
     hi = max((config.head, *marks))
-    tape = tuple(config.symbol_at(j) for j in range(lo, hi + 1))
+    start = config.window[0]  # the new window lies inside the old one
+    tape = config.tape[lo - start : hi - start + 1]
     return FiniteConfiguration((lo, hi), tape, config.head, config.state)
 
 

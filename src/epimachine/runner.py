@@ -22,7 +22,8 @@ their formulas from that run; a product model about to be re-encoded runs
 only the decoder's plan. Every model is its integer core, built by the
 encoder or from the parent's by the update, and the checker, decode, stats,
 the next update and the DOT export read that core, so no model is numbered
-twice and nothing on a run names a model's worlds, relations or valuation.
+twice and nothing on a run names a model's relations or valuation. A core
+names its worlds when first read: only the rank naming below reads them.
 
 Product worlds are ``(parent, action)`` pairs. From step 2 on the loop passes
 the update a name for each parent: its index k among the step's sorted
@@ -42,7 +43,7 @@ from pathlib import Path
 
 from ._value import Value, _set
 from .action import DeterminismViolation, applicable_designated, product_update
-from .codec import DEFAULT_PADDING, EncodedModel, Malformed, decode, encode
+from .codec import DEFAULT_PADDING, EncodedModel, Malformed, _cell_count, decode, encode
 from .logic import Evaluator, PointedKripkeModel, _bits_of, world_label, world_sort_key
 from .machine import (
     HALTED,
@@ -72,15 +73,15 @@ def model_stats(model: PointedKripkeModel) -> ModelStats:
     ev = Evaluator.of(model)
     component = ev.component()
     cells = (ev.mask(cell_formula()) & component).bit_count()
-    worlds, reached = len(ev._core.names), component.bit_count()
+    worlds, reached = ev._core.size, component.bit_count()
     return ModelStats(worlds, reached, cells, worlds - reached)
 
 
 def encoded_stats(encoded: EncodedModel) -> ModelStats:
     """``model_stats`` of an encoding, which is one component by
     construction."""
-    worlds = len(encoded.model._numbered().names)
-    return ModelStats(worlds, worlds, len(encoded.cells), 0)
+    core = encoded.model._numbered()
+    return ModelStats(core.size, core.size, _cell_count(core), 0)
 
 
 class StepEntry(Value):
@@ -225,9 +226,9 @@ def _steps(spec, initial, max_steps, mode, reencode, padding, compiled):
         for index in range(max_steps + 1):
             if index:
                 names = None
-                core = model._numbered()
-                if isinstance(core.names[core.point], tuple):
+                if encoded is None:
                     # every world is a (name, action) or (k, action) pair
+                    core = model._numbered()
                     names = {w: k for k, w in enumerate(sorted(core.names, key=pair_sort_key))}
                 model = product_update(model, program, names)
                 encoded = None

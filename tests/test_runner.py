@@ -473,6 +473,15 @@ def test_verify_stops_at_once_on_a_far_head(tmp_path, capsys):
     assert "cell span 100000007 exceeds" in capsys.readouterr().err
 
 
+def test_a_reencoded_run_stops_where_its_tape_outgrows_the_span_limit(tmp_path, capsys):
+    """The head walks right from 9990, so the re-encoding after step 5 would
+    need cells -10001..10001."""
+    edge = tmp_path / "edge.tm"
+    edge.write_text("machine edge\nstates r\nstart r\nhead 9990\ntrans r 0 -> r 1 R\ntrans r 1 -> r 1 R\n")
+    assert main(["verify", str(edge), "--steps", "6", "--reencode"]) == 2
+    assert "cell span 10001 exceeds the limit" in capsys.readouterr().err
+
+
 _parent_names = st.one_of(
     st.integers(0, 40),
     st.builds(lambda kind, j: f"{kind}[{j}]", st.sampled_from("csh"), st.integers(-12, 12)),

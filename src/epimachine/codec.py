@@ -12,12 +12,14 @@ tables; the core names its worlds only when they are read. It refuses a
 cell span above ``MAX_SPAN`` before building anything.
 
 Decoding works on the connected component of the designated world and
-anchors absolute position 0 at that world, on world numbers. The component
-is walked once per model, by the model's shared checker, so decode and the
-runner's statistics share it; ``validate_encoding`` maps it onto the core
-the encoder would build. Under the compiled program the new point is always
-the descendant of the previous position-0 cell, so absolute head positions
-survive updates exactly.
+anchors absolute position 0 at that world, on world numbers. When every
+cell world lies on one tape chain through the point and every other world
+hangs on a cell, the component is the whole model and is taken from the
+chain; otherwise the model's shared checker walks it. Either way it is found
+once per model, so decode and the runner's statistics share it;
+``validate_encoding`` maps it onto the core the encoder would build. Under
+the compiled program the new point is always the descendant of the previous
+position-0 cell, so absolute head positions survive updates exactly.
 """
 
 from __future__ import annotations
@@ -214,14 +216,48 @@ def component_of_point(model: PointedKripkeModel) -> frozenset:
 def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
     """Read the point's component as a tape: Malformed, HALTED, or the
     decoded configuration and the chain cells' world numbers in chain
-    order."""
+    order.
+
+    A checker that has not found the component yet first reads every cell
+    world as the tape. A reading that holds puts every cell on one chain
+    through the point, so inside its component: the component's cells are
+    the cells read, and no walk is needed. If moreover every other world
+    shares a symbol or state block with a cell, every world is reachable,
+    and the checker keeps that as the component. Otherwise, after a failed
+    reading, the component is walked and its cells are read.
+    """
     ev = Evaluator.of(model)
     core = ev._core
-    component = ev.component()
     fixed = (cell_formula(), leftmost_formula(), rightmost_formula(), digit_formula(1))
-    plan = plan_of(fixed + tuple(map(head_formula, states)))
-    cell, leftmost, rightmost, one, *heads = ev.run(plan)
-    cells = cell & component
+    masks = ev.run(plan_of(fixed + tuple(map(head_formula, states))))
+    cell = masks[0]
+    if ev._component is None:
+        reading = _read(ev, cell, masks, states, str)  # a Malformed one is read again, named
+        if not isinstance(reading, Malformed):
+            if _attached(core, cell) == ev._full:
+                ev._component = ev._full
+            return reading
+    return _read(ev, cell & ev.component(), masks, states, lambda k: world_label(core.names[k]))
+
+
+def _attached(core: _Core, cells: int) -> int:
+    """``cells`` and every block of the symbol and state relations that meets
+    them."""
+    reach = cells
+    for agent, masks in core.masks.items():
+        if agent is not TAPE_A and agent is not TAPE_B:
+            for mask in masks:
+                if mask & cells:
+                    reach |= mask
+    return reach
+
+
+def _read(ev: Evaluator, cells: int, masks: list, states: tuple, label):
+    """Read ``cells`` as a tape, given the decoder's root ``masks``: Malformed,
+    HALTED, or the configuration and the chain. ``label`` words a world
+    number in a Malformed reason."""
+    core = ev._core
+    _, leftmost, rightmost, one, *heads = masks
     if not cells >> core.point & 1:
         return Malformed("point is not a cell")
 
@@ -250,14 +286,13 @@ def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
         i = owner[current]
         block = () if i is None else blocks[i]
         if len(block) != 2:
-            return Malformed(f"alternation violated at {world_label(core.names[current])}")
+            return Malformed(f"alternation violated at {label(current)}")
         first, second = block
         nxt = second if first == current else first
         if not is_cell[nxt]:
-            label = world_label(core.names[current])
-            return Malformed(f"tape relation leaves the cells at {label}")
+            return Malformed(f"tape relation leaves the cells at {label(current)}")
         if visited[nxt]:
-            return Malformed(f"cell chain cycles at {world_label(core.names[nxt])}")
+            return Malformed(f"cell chain cycles at {label(nxt)}")
         chain.append(nxt)
         visited[nxt] = 1
         current = nxt

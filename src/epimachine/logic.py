@@ -251,8 +251,10 @@ _AGENT_NAME_STOP = set(" \t\n]>")
 
 def parse_formula(text: str) -> Formula:
     """Parse ``T | p | ~f | (f & g) | (f | g) | [i]f | <i>f`` with agent
-    tokens ``a``, ``b``, ``1``, ``q:<name>``. Sugar desugars on the way in."""
-    formula, pos = _parse(text, _skip_ws(text, 0))
+    tokens ``a``, ``b``, ``1``, ``q:<name>``. Sugar desugars on the way in.
+    The parser keeps its open operators on an explicit stack, so a formula
+    may nest to any depth."""
+    formula, pos = _parse(text)
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise FormulaSyntaxError("unexpected trailing input", pos)
@@ -265,39 +267,58 @@ def _skip_ws(text, pos):
     return pos
 
 
-def _parse(text, pos):
-    pos = _skip_ws(text, pos)
-    if pos >= len(text):
-        raise FormulaSyntaxError("unexpected end of input", pos)
-    ch = text[pos]
-    if ch == "T":
-        return TOP, pos + 1
-    if ch == "p":
-        return P, pos + 1
-    if ch == "~":
-        sub, end = _parse(text, pos + 1)
-        return Not(sub), end
-    if ch == "[":
-        agent, end = _parse_agent(text, pos + 1, "]")
-        sub, end = _parse(text, end)
-        return Box(agent, sub), end
-    if ch == "<":
-        agent, end = _parse_agent(text, pos + 1, ">")
-        sub, end = _parse(text, end)
-        return diamond(agent, sub), end
-    if ch == "(":
-        left, end = _parse(text, pos + 1)
-        end = _skip_ws(text, end)
-        if end >= len(text) or text[end] not in "&|":
-            raise FormulaSyntaxError("expected '&' or '|'", end)
-        op = text[end]
-        right, end = _parse(text, end + 1)
-        end = _skip_ws(text, end)
-        if end >= len(text) or text[end] != ")":
-            raise FormulaSyntaxError("expected ')'", end)
-        combined = And(left, right) if op == "&" else disj(left, right)
-        return combined, end + 1
-    raise FormulaSyntaxError(f"unexpected character {ch!r}", pos)
+def _parse(text):
+    """The formula at the start of ``text`` and the position after it."""
+    # each open operator waiting for an operand: (Not,), (Box, agent),
+    # (diamond, agent), ("(",) before its left operand, or (op, left) before
+    # its right operand, op being "&" or "|"
+    pending: list = []
+    pos = 0
+    while True:
+        pos = _skip_ws(text, pos)
+        if pos >= len(text):
+            raise FormulaSyntaxError("unexpected end of input", pos)
+        ch = text[pos]
+        if ch == "T" or ch == "p":
+            formula = TOP if ch == "T" else P
+            pos += 1
+        elif ch == "~":
+            pending.append((Not,))
+            pos += 1
+            continue
+        elif ch == "[" or ch == "<":
+            agent, pos = _parse_agent(text, pos + 1, "]" if ch == "[" else ">")
+            pending.append((Box if ch == "[" else diamond, agent))
+            continue
+        elif ch == "(":
+            pending.append(("(",))
+            pos += 1
+            continue
+        else:
+            raise FormulaSyntaxError(f"unexpected character {ch!r}", pos)
+        # apply the operators the operand completes, innermost first
+        while pending:
+            top = pending[-1]
+            if top[0] == "(":
+                pos = _skip_ws(text, pos)
+                if pos >= len(text) or text[pos] not in "&|":
+                    raise FormulaSyntaxError("expected '&' or '|'", pos)
+                pending[-1] = (text[pos], formula)
+                pos += 1
+                break
+            pending.pop()
+            if top[0] == "&" or top[0] == "|":
+                pos = _skip_ws(text, pos)
+                if pos >= len(text) or text[pos] != ")":
+                    raise FormulaSyntaxError("expected ')'", pos)
+                formula = (And if top[0] == "&" else disj)(top[1], formula)
+                pos += 1
+            elif top[0] is Not:
+                formula = Not(formula)
+            else:
+                formula = top[0](top[1], formula)
+        else:
+            return formula, pos
 
 
 def _parse_agent(text, pos, close):
@@ -319,25 +340,34 @@ def _parse_agent(text, pos, close):
 
 
 def format_formula(formula: Formula) -> str:
-    """Render a formula in the parse grammar; ``parse_formula`` inverts this."""
-    if isinstance(formula, Top):
-        return "T"
-    if isinstance(formula, Atom):
-        return "p"
-    if isinstance(formula, Not):
-        sub = formula.sub
-        if isinstance(sub, Box) and isinstance(sub.sub, Not):
-            return f"<{sub.agent.token}>{format_formula(sub.sub.sub)}"
-        if isinstance(sub, And) and isinstance(sub.left, Not) and isinstance(sub.right, Not):
-            left = format_formula(sub.left.sub)
-            right = format_formula(sub.right.sub)
-            return f"({left} | {right})"
-        return "~" + format_formula(sub)
-    if isinstance(formula, And):
-        return f"({format_formula(formula.left)} & {format_formula(formula.right)})"
-    if isinstance(formula, Box):
-        return f"[{formula.agent.token}]{format_formula(formula.sub)}"
-    raise TypeError(f"not a formula: {formula!r}")
+    """Render a formula in the parse grammar; ``parse_formula`` inverts this.
+    Pieces wait on an explicit stack, so a formula may nest to any depth."""
+    out = []
+    stack = [formula]  # text to write and formulas to render, last first
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        if isinstance(item, Top):
+            out.append("T")
+        elif isinstance(item, Atom):
+            out.append("p")
+        elif isinstance(item, Not):
+            sub = item.sub
+            if isinstance(sub, Box) and isinstance(sub.sub, Not):
+                stack += sub.sub.sub, f"<{sub.agent.token}>"
+            elif isinstance(sub, And) and isinstance(sub.left, Not) and isinstance(sub.right, Not):
+                stack += ")", sub.right.sub, " | ", sub.left.sub, "("
+            else:
+                stack += sub, "~"
+        elif isinstance(item, And):
+            stack += ")", item.right, " & ", item.left, "("
+        elif isinstance(item, Box):
+            stack += item.sub, f"[{item.agent.token}]"
+        else:
+            raise TypeError(f"not a formula: {item!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ ones the next update would choose from. ``emulate`` keeps every step;
 one step's model at a time.
 
 A run reuses the program ``compile_program`` keeps on the spec, and reads
-the stats of each encoding off the encoder (``encoded_stats``), so a
-re-encoded step walks one component: the product model's, in its decode.
+the stats of each encoding off the encoder (``encoded_stats``). Decode
+takes a product model's component from its cell chain, so the component is
+walked, once, only when a world lies outside it or the cells do not read as
+a tape.
 Each kept model runs one plan, the program's, and decode and stats read
 their formulas from that run; a product model about to be re-encoded runs
 only the decoder's plan. Every model is its integer core, built by the

@@ -287,6 +287,26 @@ def test_format_parse_round_trip(formula):
     assert parse_formula(format_formula(formula)) == formula
 
 
+def test_a_formula_nested_past_the_recursion_limit_round_trips():
+    """Every operator and sugar form, nested 20,000 levels on both sides of
+    each binary node."""
+    formula = P
+    wraps = [
+        Not,
+        lambda f: And(f, P),
+        lambda f: And(TOP, f),
+        lambda f: Box(TAPE_A, f),
+        lambda f: diamond(SYMBOL, f),
+        lambda f: disj(f, TOP),
+        lambda f: disj(P, f),
+    ]
+    for depth in range(20_000):
+        formula = wraps[depth % len(wraps)](formula)
+    text = format_formula(formula)
+    assert text.count("(") == text.count(")") > 10_000
+    assert parse_formula(text) is formula
+
+
 def test_agent_tokens():
     assert Agent.from_token("a") is not None
     assert Agent.from_token("q:loop").state == "loop"

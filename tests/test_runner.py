@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import epimachine
 from epimachine import runner
-from epimachine.action import product_update
+from epimachine.action import import_program, product_update
 from epimachine.codec import DEFAULT_PADDING, component_of_point, decode, encode
 from epimachine.logic import (
     TAPE_A,
@@ -31,6 +31,7 @@ from epimachine.runner import (
     encoded_stats,
     export_dot,
     export_trace_json,
+    load_machine,
     main,
     model_stats,
     verify_lockstep,
@@ -459,9 +460,9 @@ def test_emulate_walks_each_component_once(monkeypatch):
     monkeypatch.setattr(Evaluator, "component", counting_component)
     spec, initial = load("march")
     emulate(spec, initial, 10)
-    # decode and stats of one model share one walk: the start model plus one
-    # per update
-    assert walks == 11
+    # decode reads each component off its cell chain, and the stats read
+    # the component decode found: no model is walked
+    assert walks == 0
 
 
 def test_verify_stops_at_once_on_a_far_head(tmp_path, capsys):
@@ -702,9 +703,9 @@ def test_reencoded_steps_walk_one_component_each(monkeypatch):
     spec, initial = load("bb2")
     trace = emulate(spec, initial, 50, reencode=True)
     assert len(trace.entries) == 8
-    # the decode of the start model and of each of the 7 updates; no
-    # re-encoded model is walked
-    assert walks == 8
+    # the decode of the start model and of each of the 7 updates reads the
+    # component off the cell chain, and no re-encoded model is walked
+    assert walks == 0
 
 
 @pytest.mark.parametrize("option", ["--steps", "--padding"])
@@ -724,15 +725,18 @@ def test_a_machine_of_400_states_verifies():
     assert verify_lockstep(*generated_machine(400), 5).ok()
 
 
-def test_a_program_too_deep_to_print_stops_before_step_0(tmp_path, capsys):
-    states = [f"s{i}" for i in range(1200)]
-    lines = ["machine chain1200", f"states {' '.join(states)} H", "start s0", "halt H"]
+def test_a_program_nested_past_the_recursion_limit_round_trips(tmp_path, capsys):
+    """A 2000-state chain machine's preconditions nest far deeper than the
+    interpreter's recursion limit; its emitted program imports back equal."""
+    states = [f"s{i}" for i in range(2000)]
+    lines = ["machine chain2000", f"states {' '.join(states)} H", "start s0", "halt H"]
     lines += [f"trans {q} 0 -> {r} 1 R" for q, r in zip(states, states[1:] + ["H"])]
-    machine = tmp_path / "chain1200.tm"
+    machine = tmp_path / "chain2000.tm"
     machine.write_text("\n".join(lines) + "\n")
     program = tmp_path / "program.json"
-    assert main(["emulate", str(machine), "--steps", "3", "--emit-program", str(program)]) == 2
-    out, err = capsys.readouterr()
-    assert "step 0" not in out
-    assert err.startswith("error: ")
-    assert not program.exists()
+    assert main(["emulate", str(machine), "--steps", "3", "--emit-program", str(program)]) == 0
+    out, _ = capsys.readouterr()
+    assert "stopped: step-cap" in out
+    imported, _ = import_program(program.read_text())
+    spec, _ = load_machine(machine)
+    assert imported == compile_program(spec).program

@@ -9,6 +9,7 @@ most one of them may apply at the source point.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -27,6 +28,7 @@ from .logic import (
     _block_mask,
     _Core,
     _mask_of_bits,
+    _ranks,
     closure,
     format_formula,
     parse_formula,
@@ -182,11 +184,16 @@ def product_update(
     is undefined) and raises DeterminismViolation when several do. The child
     of world w by action a is (w, a), so lineage stays inspectable, or
     (names[w], a) when ``names``, a one-to-one map of the worlds, is given.
-    The child is its core alone, built from the parent's: the children are
-    numbered parent by parent, and each relation is built in one pass over
-    the parent's blocks, each child block with its mask. The child's worlds
-    are named when first read; an encoding parent is left unnamed till then,
-    any other parent is named now.
+    ``names`` may also be the parent's name order, a list of its world
+    numbers in ``world_sort_key`` order of their names (``_Core.order``):
+    then w is labelled by its position k in the list, the child is (k, a),
+    and the child's core keeps its own name order, built from the parent's
+    without a sort of names. The child is its core alone, built from the
+    parent's: the children are numbered parent by parent, and each relation
+    is built in one pass over the parent's blocks, each child block with its
+    mask. The child's worlds are named when first read; an encoding parent
+    and a parent given by its order are left unnamed till then, any other
+    parent is named now.
     """
     ev = Evaluator.of(model)
     core = ev._core
@@ -216,7 +223,12 @@ def product_update(
     extra = [p for p in branching for _ in kids[p][1:]]
     parent_of = sorted([*itertools.compress(range(n), counts), *extra])
     action_of = list(itertools.chain.from_iterable(kids))
-    if names is not None:
+    order = None
+    if type(names) is list:
+        # the namer holds the parent's order, not its core
+        label = functools.partial(_ranks, names)
+        order = _child_order(names, first, counts, branching, action_of)
+    elif names is not None:
         label = list(map(names.__getitem__, core.names))
     elif type(core._names) is tuple or core._names.func is _product_names:
         label = core.names  # a product is named now, so no chain of namers builds up
@@ -278,7 +290,51 @@ def product_update(
     point = first[core.point] + kids[core.point].index(chosen[0])
     namer = functools.partial(_product_names, label, parent_of, action_of)
     child = _Core(len(parent_of), namer, blocks, block_masks, _mask_of_bits(values), point)
+    child.order = order
     return PointedKripkeModel._of_core(child)
+
+
+# 0..len-1 in the order of their decimal texts, for the last length asked
+_TEXT_ORDER: list = []
+
+
+def _text_order(size: int) -> list:
+    """0..size-1 in ``str`` order: the order of ``size`` parents' positions
+    as the first part of their children's names. The last list is kept, and
+    a size at most eight off its length copies it and inserts or deletes the
+    difference rather than sort anew, so no list handed out changes."""
+    global _TEXT_ORDER
+    table = _TEXT_ORDER
+    if len(table) != size:
+        if abs(size - len(table)) > 8:
+            table = sorted(range(size), key=str)
+        else:
+            table = table.copy()
+            for r in range(len(table), size):
+                bisect.insort(table, r, key=str)
+            for r in range(size, len(table)):
+                del table[bisect.bisect_left(table, str(r), key=str)]
+        _TEXT_ORDER = table
+    return table
+
+
+def _child_order(order: list, first: list, counts: list, branching: list, action_of: list) -> list:
+    """The children's name order, given the parents' ``order``: a child is
+    (its parent's position in ``order``, its action), so the parents come
+    in ``str`` order of their positions, and each parent's children, which
+    are numbered ``first[p]``.., in action order. Only a branching parent's
+    children are sorted, and spliced in where its first child stands."""
+    parents = list(map(order.__getitem__, _text_order(len(order))))
+    heads = list(itertools.compress(map(first.__getitem__, parents), map(counts.__getitem__, parents)))
+    kids = {first[p]: sorted(range(first[p], first[p + 1]), key=action_of.__getitem__) for p in branching}
+    out: list = []
+    start = 0
+    for i in itertools.compress(itertools.count(), map(kids.__contains__, heads)):
+        out += heads[start:i]
+        out += kids[heads[i]]
+        start = i + 1
+    out += heads[start:]
+    return out
 
 
 def _product_names(label, parent_of, action_of) -> tuple:

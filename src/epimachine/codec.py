@@ -176,9 +176,9 @@ def _build_tape_model(
     blocks[SYMBOL] = tuple(zip([j - lo for j in ones], range(cells, size - 1)))
     masks[SYMBOL] = [1 << x | 1 << y for x, y in blocks[SYMBOL]]
     for q in states:
-        current = q == state
-        blocks[state_agent(q)] = ((head - lo, size - 1),) if current else ()
-        masks[state_agent(q)] = [1 << (head - lo) | 1 << (size - 1)] if current else []
+        agent, current = state_agent(q), q == state
+        blocks[agent] = ((head - lo, size - 1),) if current else ()
+        masks[agent] = [1 << (head - lo) | 1 << (size - 1)] if current else []
     values = even[a : a + cells] + bytes([j % 2 == 0 for j in (*ones, head)])
     names = functools.partial(_tape_names, lo, hi, ones, head)
     return _Core(size, names, blocks, masks, _mask_of_bits(values), -lo)

@@ -655,9 +655,11 @@ class _Core:
     world k), the valuation as one mask and the point as a number. Whoever
     builds a core gives each block's mask with it, in block order, and the
     names either as a tuple or as a namer, a callable that makes the tuple
-    when ``names`` is first read. A core refers to no other model or core."""
+    when ``names`` is first read. ``order``, once known, lists the world
+    numbers in ``world_sort_key`` order of their names. A core refers to no
+    other model or core."""
 
-    __slots__ = ("size", "_names", "blocks", "masks", "valuation", "point", "__weakref__")
+    __slots__ = ("size", "_names", "blocks", "masks", "valuation", "point", "order", "__weakref__")
 
     def __init__(self, size: int, names, blocks: Mapping, masks: Mapping, valuation: int, point: int):
         self.size = size
@@ -666,6 +668,7 @@ class _Core:
         self.masks = masks
         self.valuation = valuation
         self.point = point
+        self.order = None
 
     @property
     def names(self) -> tuple:
@@ -687,6 +690,14 @@ class _Core:
         masks = {agent: list(map(_block_mask, bs)) for agent, bs in blocks.items()}
         valuation = _mask_of(map(position, model.valuation), len(names))
         return cls(len(names), names, blocks, masks, valuation, position(model.point))
+
+
+def _ranks(order: list) -> list:
+    """Each number's position in ``order``, a permutation of 0..len-1."""
+    ranks = [0] * len(order)
+    for r, k in enumerate(order):
+        ranks[k] = r
+    return ranks
 
 
 def make_model(

@@ -25,19 +25,24 @@ only the decoder's plan. Every model is its integer core, built by the
 encoder or from the parent's by the update, and the checker, decode, stats,
 the next update and the DOT export read that core, so no model is numbered
 twice and nothing on a run names a model's relations or valuation. A core
-names its worlds when first read: only the rank naming below reads them.
+names its worlds when first read, and nothing on a run reads them.
 
-Product worlds are ``(parent, action)`` pairs. From step 2 on the loop passes
-the update a name for each parent: its index k among the step's sorted
-worlds (its position among that step's DOT nodes). The update then builds
-the child ``(k, action)`` directly, so ids stay one pair deep however long
-the run and no model is renamed afterwards. Step-1 and re-encoded parents
-are encoder names and stay as they are.
+Product worlds are ``(parent, action)`` pairs. Step-1 and re-encoded parents
+are encoder names and stay as they are. From step 2 on each parent is
+labelled by its rank k, its position among the step's worlds in name order
+(among that step's DOT nodes), so the child is ``(k, action)`` and ids stay
+one pair deep however long the run. The loop carries that order on each
+product's core: the first product after an encoding sorts its names once,
+and from then on the update builds each child's order from its parent's
+without a sort of names (``_Core.order``). The update takes the ranks from
+the order only when a child's name is read, so a plain run names no world,
+and the DOT export reads the order to rank its nodes.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -46,7 +51,7 @@ from pathlib import Path
 from ._value import Value, _set
 from .action import DeterminismViolation, applicable_designated, product_update
 from .codec import DEFAULT_PADDING, EncodedModel, Malformed, _cell_count, decode, encode
-from .logic import Evaluator, PointedKripkeModel, _bits_of, world_label, world_sort_key
+from .logic import Evaluator, PointedKripkeModel, _bits_of, _ranks, world_label, world_sort_key
 from .machine import (
     HALTED,
     FiniteConfiguration,
@@ -184,6 +189,17 @@ def pair_sort_key(world):
     return (str(world[0]), world[1])
 
 
+def _name_order(core) -> list:
+    """The name order a product's core keeps, which the first product after
+    an encoding, whose worlds are pairs of plain names, gets here by a sort
+    of its names, made for the sort and not kept."""
+    if core.order is None:
+        names = core._names if type(core._names) is tuple else core._names()
+        keys = list(map(pair_sort_key, names))
+        core.order = sorted(range(core.size), key=keys.__getitem__)
+    return core.order
+
+
 def _stop_of(entry: StepEntry, max_steps: int) -> tuple[str, str | None] | None:
     """Why the run stops after ``entry``, as ``(stop_reason, error)``, or None
     if it goes on. The next update would choose from ``entry.applicable``, so
@@ -227,12 +243,8 @@ def _steps(spec, initial, max_steps, mode, reencode, padding, compiled):
         # step 0 records the encoded start model; each later step first updates
         for index in range(max_steps + 1):
             if index:
-                names = None
-                if encoded is None:
-                    # every world is a (name, action) or (k, action) pair
-                    core = model._numbered()
-                    names = {w: k for k, w in enumerate(sorted(core.names, key=pair_sort_key))}
-                model = product_update(model, program, names)
+                order = _name_order(model._numbered()) if encoded is None else None
+                model = product_update(model, program, order)
                 encoded = None
                 if oracle_state is not HALTED:
                     oracle_state = step(spec, oracle_state)
@@ -325,30 +337,68 @@ def _quote(text: str) -> str:
     return '"' + text + '"'
 
 
+def _plain_parts(names) -> list | None:
+    """The text of every name, as one list, when no name is a tuple, or of
+    each part, as two lists, when every name is a pair of plain names; None
+    for any other names."""
+    tuples = sum(map(isinstance, names, itertools.repeat(tuple)))
+    if not tuples:
+        return [list(map(str, names))]
+    if tuples == len(names) and set(map(len, names)) == {2}:
+        parts = list(zip(*names))
+        if not any(map(isinstance, itertools.chain(*parts), itertools.repeat(tuple))):
+            return [list(map(str, part)) for part in parts]
+    return None
+
+
 def export_dot(model: PointedKripkeModel) -> str:
     """Undirected graph text: one node per world, one edge per non-reflexive
     pair, labeled by the relation index, read off the model's core. Nodes,
-    classes and members are put in ``world_sort_key`` order of their names."""
+    classes and members are put in ``world_sort_key`` order of their names:
+    the order the core keeps, or else a sort, which the core then keeps.
+    Plain names and pairs of plain names are keyed and labelled in bulk, the
+    recursive ``world_sort_key`` and ``world_label`` read any other, and the
+    nodes, and the edges of a relation of pairs, are written by one format
+    map each."""
     core = model._numbered()
     names = core.names
-    values = _bits_of(core.valuation, len(names))
-    keys = list(map(world_sort_key, names))
+    parts = _plain_parts(names)
+    if core.order is None:
+        keys = list(map(world_sort_key, names)) if parts is None else list(zip(*parts))
+        core.order = sorted(range(core.size), key=keys.__getitem__)
+    order = core.order
+    if parts is None:
+        labels = list(map(world_label, names))
+    else:
+        labels = parts[0] if len(parts) == 1 else list(map("({},{})".format, *parts))
+    labels = list(map(labels.__getitem__, order))  # by rank
+    text = "".join(labels)
+    if '"' in text or "\\" in text:  # as ``_quote`` escapes
+        labels = [label.replace("\\", "\\\\").replace('"', '\\"') for label in labels]
+    values = _bits_of(core.valuation, core.size)
+    truths = map((" ¬p", " p").__getitem__, map(values.__getitem__, order))
     lines = ["graph model {", "  node [shape=circle];"]
-    rank = [0] * len(names)  # each world number's rank
-    node = []  # quoted world names, by rank
-    for r, k in enumerate(sorted(range(len(names)), key=keys.__getitem__)):
-        label = world_label(names[k])
-        rank[k] = r
-        node.append(_quote(label))
-        attrs = _quote(label + (" p" if values[k] else " ¬p"))
-        if k == core.point:
-            attrs += ", peripheries=2"
-        lines.append(f"  {node[r]} [label={attrs}];")
+    lines += map('  "{0}" [label="{0}{1}"];'.format, labels, truths)
+    rank = _ranks(order)
+    point = 2 + rank[core.point]  # its line ends in '"];'
+    lines[point] = lines[point][:-2] + ", peripheries=2];"
+    node = list(map('"{}"'.format, labels))
     for agent in sorted(core.blocks, key=lambda a: a.token):
         suffix = f" [label={_quote(agent.token)}];"
+        blocks = core.blocks[agent]
         # blocks are disjoint, so their sorted rank lists sort by least rank
-        for ranks in sorted(sorted(map(rank.__getitem__, block)) for block in core.blocks[agent]):
-            members = [node[k] for k in ranks]
+        ranks = sorted(map(sorted, map(map, itertools.repeat(rank.__getitem__), blocks)))
+        if set(map(len, blocks)) == {2}:
+            lows, highs = zip(*ranks)
+            lines += map(
+                "  {} -- {}{}".format,
+                map(node.__getitem__, lows),
+                map(node.__getitem__, highs),
+                itertools.repeat(suffix),
+            )
+            continue
+        for members in ranks:
+            members = [node[k] for k in members]
             for i, left in enumerate(members):
                 for right in members[i + 1 :]:
                     lines.append(f"  {left} -- {right}{suffix}")

@@ -9,7 +9,18 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from epimachine.logic import And, Atom, Box, EquivRelation, Not, PointedKripkeModel, Top
+from epimachine.logic import (
+    And,
+    Atom,
+    Box,
+    EquivRelation,
+    Not,
+    PointedKripkeModel,
+    Top,
+    _bits_of,
+    world_label,
+    world_sort_key,
+)
 from epimachine.machine import FiniteConfiguration, blank_config, parse_machine
 
 MACHINE_DIR = Path(__file__).resolve().parent.parent / "machines"
@@ -106,6 +117,47 @@ def brute_component(model):
                 seen.add(y)
                 grown = True
     return frozenset(seen)
+
+
+# --- DOT rendering, one world at a time ---
+
+
+def _quote(text):
+    if '"' in text or "\\" in text:
+        text = text.replace("\\", "\\\\").replace('"', '\\"')
+    return '"' + text + '"'
+
+
+def reference_dot(model):
+    """``runner.export_dot``'s text, rendered world by world: each name is
+    keyed and labelled by the recursive ``world_sort_key`` and
+    ``world_label``, the worlds are sorted on every call, and every line is
+    written by its own f-string."""
+    core = model._numbered()
+    names = core.names
+    values = _bits_of(core.valuation, len(names))
+    keys = list(map(world_sort_key, names))
+    lines = ["graph model {", "  node [shape=circle];"]
+    rank = [0] * len(names)  # each world number's rank
+    node = []  # quoted world names, by rank
+    for r, k in enumerate(sorted(range(len(names)), key=keys.__getitem__)):
+        label = world_label(names[k])
+        rank[k] = r
+        node.append(_quote(label))
+        attrs = _quote(label + (" p" if values[k] else " ¬p"))
+        if k == core.point:
+            attrs += ", peripheries=2"
+        lines.append(f"  {node[r]} [label={attrs}];")
+    for agent in sorted(core.blocks, key=lambda a: a.token):
+        suffix = f" [label={_quote(agent.token)}];"
+        # blocks are disjoint, so their sorted rank lists sort by least rank
+        for ranks in sorted(sorted(map(rank.__getitem__, block)) for block in core.blocks[agent]):
+            members = [node[k] for k in ranks]
+            for i, left in enumerate(members):
+                for right in members[i + 1 :]:
+                    lines.append(f"  {left} -- {right}{suffix}")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 # --- random models built from partitions ---

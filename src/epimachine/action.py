@@ -9,7 +9,6 @@ most one of them may apply at the source point.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import json
@@ -184,11 +183,12 @@ def product_update(
     is undefined) and raises DeterminismViolation when several do. The child
     of world w by action a is (w, a), so lineage stays inspectable, or
     (names[w], a) when ``names``, a one-to-one map of the worlds, is given.
-    ``names`` may also be the parent's name order, a list of its world
-    numbers in ``world_sort_key`` order of their names (``_Core.order``):
-    then w is labelled by its position k in the list, the child is (k, a),
-    and the child's core keeps its own name order, built from the parent's
-    without a sort of names. The child is its core alone, built from the
+    ``names`` may also be a pair (order, text): the parent's name order, a
+    list of its world numbers in ``world_sort_key`` order of their names
+    (``_Core.order``), and 0..len(order)-1 in ``str`` order. Then w is
+    labelled by its position k in ``order``, the child is (k, a), and the
+    child's core keeps its own name order, built from the parent's without
+    a sort of names. The child is its core alone, built from the
     parent's: the children are numbered parent by parent, and each relation
     is built in one pass over the parent's blocks, each child block with its
     mask. The child's worlds are named when first read; an encoding parent
@@ -224,10 +224,10 @@ def product_update(
     parent_of = sorted([*itertools.compress(range(n), counts), *extra])
     action_of = list(itertools.chain.from_iterable(kids))
     order = None
-    if type(names) is list:
+    if type(names) is tuple:
         # the namer holds the parent's order, not its core
-        label = functools.partial(_ranks, names)
-        order = _child_order(names, first, counts, branching, action_of)
+        label = functools.partial(_ranks, names[0])
+        order = _child_order(*names, first, counts, branching, action_of)
     elif names is not None:
         label = list(map(names.__getitem__, core.names))
     elif type(core._names) is tuple or core._names.func is _product_names:
@@ -294,37 +294,16 @@ def product_update(
     return PointedKripkeModel._of_core(child)
 
 
-# 0..len-1 in the order of their decimal texts, for the last length asked
-_TEXT_ORDER: list = []
-
-
-def _text_order(size: int) -> list:
-    """0..size-1 in ``str`` order: the order of ``size`` parents' positions
-    as the first part of their children's names. The last list is kept, and
-    a size at most eight off its length copies it and inserts or deletes the
-    difference rather than sort anew, so no list handed out changes."""
-    global _TEXT_ORDER
-    table = _TEXT_ORDER
-    if len(table) != size:
-        if abs(size - len(table)) > 8:
-            table = sorted(range(size), key=str)
-        else:
-            table = table.copy()
-            for r in range(len(table), size):
-                bisect.insort(table, r, key=str)
-            for r in range(size, len(table)):
-                del table[bisect.bisect_left(table, str(r), key=str)]
-        _TEXT_ORDER = table
-    return table
-
-
-def _child_order(order: list, first: list, counts: list, branching: list, action_of: list) -> list:
+def _child_order(
+    order: list, text: list, first: list, counts: list, branching: list, action_of: list
+) -> list:
     """The children's name order, given the parents' ``order``: a child is
     (its parent's position in ``order``, its action), so the parents come
-    in ``str`` order of their positions, and each parent's children, which
-    are numbered ``first[p]``.., in action order. Only a branching parent's
-    children are sorted, and spliced in where its first child stands."""
-    parents = list(map(order.__getitem__, _text_order(len(order))))
+    in ``str`` order of their positions, which ``text`` lists, and each
+    parent's children, which are numbered ``first[p]``.., in action order.
+    Only a branching parent's children are sorted, and spliced in where its
+    first child stands."""
+    parents = list(map(order.__getitem__, text))
     heads = list(itertools.compress(map(first.__getitem__, parents), map(counts.__getitem__, parents)))
     kids = {first[p]: sorted(range(first[p], first[p + 1]), key=action_of.__getitem__) for p in branching}
     out: list = []

@@ -34,14 +34,16 @@ labelled by its rank k, its position among the step's worlds in name order
 one pair deep however long the run. The loop carries that order on each
 product's core: the first product after an encoding sorts its names once,
 and from then on the update builds each child's order from its parent's
-without a sort of names (``_Core.order``). The update takes the ranks from
-the order only when a child's name is read, so a plain run names no world,
-and the DOT export reads the order to rank its nodes.
+without a sort of names (``_Core.order``), reading the ranks' ``str`` order
+from one list per run that the loop fits to each parent's size. The update
+takes the ranks from the order only when a child's name is read, so a plain
+run names no world, and the DOT export reads the order to rank its nodes.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import itertools
 import json
 import sys
@@ -190,14 +192,30 @@ def pair_sort_key(world):
 
 
 def _name_order(core) -> list:
-    """The name order a product's core keeps, which the first product after
-    an encoding, whose worlds are pairs of plain names, gets here by a sort
-    of its names, made for the sort and not kept."""
-    if core.order is None:
-        names = core._names if type(core._names) is tuple else core._names()
-        keys = list(map(pair_sort_key, names))
-        core.order = sorted(range(core.size), key=keys.__getitem__)
-    return core.order
+    """The name order ``core`` keeps, or else its world numbers sorted by
+    their names: by the bulk keys of ``_plain_parts`` when it has them, by
+    ``world_sort_key`` otherwise. Names not yet made are made for the sort,
+    and the core keeps neither them nor the order."""
+    if core.order is not None:
+        return core.order
+    names = core._names if type(core._names) is tuple else core._names()
+    parts = _plain_parts(names)
+    keys = list(map(world_sort_key, names)) if parts is None else list(zip(*parts))
+    return sorted(range(core.size), key=keys.__getitem__)
+
+
+def _fit_text(text: list, size: int) -> None:
+    """Make ``text``, a run's list of 0..len(text)-1 in ``str`` order, list
+    0..size-1: by dropping the numbers past the end, by inserting the new
+    ones when they are at most a sixteenth of ``size``, which is measured
+    to beat a fresh sort of 24 to 5,000 numbers, else by a fresh sort."""
+    if size < len(text):
+        text[:] = filter(size.__gt__, text)
+    elif (size - len(text)) * 16 <= size:
+        for r in range(len(text), size):
+            bisect.insort(text, r, key=str)
+    else:
+        text[:] = sorted(range(size), key=str)
 
 
 def _stop_of(entry: StepEntry, max_steps: int) -> tuple[str, str | None] | None:
@@ -240,11 +258,18 @@ def _steps(spec, initial, max_steps, mode, reencode, padding, compiled):
         encoded = encode(initial, states, padding)
         model = encoded.model
         oracle_state: object = initial
+        text: list = []  # 0..m-1 in str order, for the last ranked parent's m
         # step 0 records the encoded start model; each later step first updates
         for index in range(max_steps + 1):
             if index:
-                order = _name_order(model._numbered()) if encoded is None else None
-                model = product_update(model, program, order)
+                names = None
+                if encoded is None:
+                    # a product parent is ranked by its name order, which the
+                    # first product after an encoding gets here
+                    order = model._numbered().order = _name_order(model._numbered())
+                    _fit_text(text, len(order))
+                    names = (order, text)
+                model = product_update(model, program, names)
                 encoded = None
                 if oracle_state is not HALTED:
                     oracle_state = step(spec, oracle_state)
@@ -354,19 +379,16 @@ def _plain_parts(names) -> list | None:
 def export_dot(model: PointedKripkeModel) -> str:
     """Undirected graph text: one node per world, one edge per non-reflexive
     pair, labeled by the relation index, read off the model's core. Nodes,
-    classes and members are put in ``world_sort_key`` order of their names:
-    the order the core keeps, or else a sort, which the core then keeps.
+    classes and members are put in ``world_sort_key`` order of their names,
+    as ``_name_order`` gives it.
     Plain names and pairs of plain names are keyed and labelled in bulk, the
     recursive ``world_sort_key`` and ``world_label`` read any other, and the
     nodes, and the edges of a relation of pairs, are written by one format
     map each."""
     core = model._numbered()
     names = core.names
+    order = _name_order(core)
     parts = _plain_parts(names)
-    if core.order is None:
-        keys = list(map(world_sort_key, names)) if parts is None else list(zip(*parts))
-        core.order = sorted(range(core.size), key=keys.__getitem__)
-    order = core.order
     if parts is None:
         labels = list(map(world_label, names))
     else:

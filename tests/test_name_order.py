@@ -13,11 +13,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epimachine import runner
-from epimachine.action import _text_order, applicable_designated, product_update
+from epimachine.action import applicable_designated, product_update
 from epimachine.codec import DEFAULT_PADDING
 from epimachine.logic import EquivRelation, PointedKripkeModel, world_sort_key
 from epimachine.program import GROWTH_MODES, compile_program
-from epimachine.runner import emulate, export_dot, pair_sort_key
+from epimachine.runner import _fit_text, emulate, export_dot, pair_sort_key
 
 from helpers import load, random_partition_model, reference_dot
 from test_core import FAITHFUL_PLAIN_CAP, RUNS
@@ -88,21 +88,20 @@ def test_an_update_given_its_parents_order_keeps_its_childrens_order(rng, fragme
         assume(len(applicable_designated(model, program)) == 1)
         ranks = {names[k]: r for r, k in enumerate(order)}
         expected = product_update(model, program, ranks)._numbered().names
-        model = product_update(model, program, order)
+        model = product_update(model, program, (order, sorted(range(len(order)), key=str)))
         core = model._numbered()
         assert core.names == expected
         names, order = core.names, core.order
         assert order == sorted(range(len(names)), key=lambda k: world_sort_key(names[k]))
 
 
-def test_the_text_order_follows_every_size():
-    """Sizes that grow and shrink by a few, and jumps of more than eight
-    both ways; a list handed out stays as it was."""
-    held = []
-    for size in (5, 6, 9, 17, 16, 10, 11, 0, 1, 120, 112, 121, 1000, 3, 12):
-        held.append((size, _text_order(size)))
-        assert held[-1][1] == sorted(range(size), key=str)
-    assert all(table == sorted(range(size), key=str) for size, table in held)
+def test_a_runs_text_order_fits_every_size():
+    """One list fitted to sizes that grow by a few (inserted) and by many
+    (sorted anew), and that shrink by a few and by many."""
+    text = []
+    for size in (5, 6, 9, 17, 16, 10, 11, 0, 1, 120, 127, 135, 112, 1000, 1040, 1100, 3, 12):
+        _fit_text(text, size)
+        assert text == sorted(range(size), key=str)
 
 
 @pytest.mark.parametrize("mode", GROWTH_MODES)
@@ -159,7 +158,7 @@ def test_a_random_model_renders_as_the_reference(rng, kind):
     model = _random_named_model(rng, kind)
     expected = reference_dot(model)
     assert export_dot(model) == expected
-    assert export_dot(model) == expected  # from the order the first call kept
+    assert model._numbered().order is None  # the export keeps no order
 
 
 def test_a_plain_run_names_nothing(monkeypatch):

@@ -87,11 +87,13 @@ class EpistemicProgram(Value):
 
     def _layout(self) -> tuple:
         """``plan``, each root's actions, each designated action in id order
-        with its root's position, and per agent each action's class (block
-        position, or the action if alone), each one-action root's, and the
-        update's child groups of a lone parent by its actions and of a pair
-        block by its two parents' actions, filled as the update meets them
-        (``_template``)."""
+        with its root's position, and per agent its class table: each member
+        of the relation's blocks with its block's position, the one-action
+        roots among them with theirs, and the update's child groups of a
+        lone parent by its actions, filled as the update meets them
+        (``_template``). An action in no block is a class of its own, named
+        by the action, so the tables grow with the blocks, not with agents
+        times actions."""
         layout = self.__dict__.get("_plan_layout")
         if layout is None:
             by_root: dict = {}  # precondition -> its actions, in action order
@@ -100,19 +102,12 @@ class EpistemicProgram(Value):
             position = {root: i for i, root in enumerate(by_root)}
             designated = tuple((a, position[self.pre[a]]) for a in sorted(self.designated))
             roots = tuple(map(tuple, by_root.values()))
-            # every action alone in its class, then each agent's blocks: the
-            # copies cost C time per agent, the blocks' members Python time
-            alone = dict(zip(self.actions, self.actions))
-            alone_roots = {r: r[0] for r in roots if len(r) == 1}
+            one = {r for r in roots if len(r) == 1}
             classes = {}
             for agent, relation in self.relations.items():
-                class_of, single = alone.copy(), alone_roots.copy()
-                for i, block in enumerate(relation.blocks()):
-                    for a in block:
-                        class_of[a] = i
-                        if (a,) in single:
-                            single[a,] = i
-                classes[agent] = (class_of, single, {}, {})
+                class_of = {a: i for i, block in enumerate(relation.blocks()) for a in block}
+                single = {(a,): i for a, i in class_of.items() if (a,) in one}
+                classes[agent] = (class_of, single, {})
             layout = (plan_of(tuple(by_root)), roots, designated, classes)
             _set(self, "_plan_layout", layout)
         return layout
@@ -238,15 +233,16 @@ def product_update(
     # (w,a) ~i (v,b) iff w ~i v and a ~i b, so two product worlds share a
     # class of two or more only if their parents share a block, or they are
     # children of one parent by two actions of one program class. A parent's
-    # tag is its only child's program class, or else ~p, which no other tag
-    # equals: a pair block with equal tags gives the child pair. Other pair
-    # blocks with a branching parent and lone branching parents take their
-    # groups from the program's templates; larger blocks are grouped by
-    # program class.
+    # tag is its only child's block position in the program, or else ~p,
+    # which no other tag equals: a pair block gives the child pair when the
+    # tags are equal, or when both parents' only child is by one action,
+    # which the tags miss for an action in no block. Lone branching parents
+    # take their groups from the program's templates; any other block with a
+    # branching parent is grouped by program class.
     blocks = {}
     block_masks = {}
     for agent, parent_blocks in core.blocks.items():
-        class_of, single, lone, pairs = action_classes[agent]
+        class_of, single, lone = action_classes[agent]
         out: list = []
         out_masks: list = []
         placed: set = set()
@@ -254,33 +250,23 @@ def product_update(
         for block in parent_blocks:
             if len(block) == 2:
                 p, q = block
-                if tag(kids[p], ~p) == tag(kids[q], ~q):
+                if tag(kids[p], ~p) == tag(kids[q], ~q) or counts[p] == 1 and kids[p] == kids[q]:
                     c, d = first[p], first[q]
                     out.append((c, d))
                     out_masks.append(1 << c | 1 << d)
                     continue
                 if counts[p] < 2 and counts[q] < 2:
                     continue
-                placed.update(block)
-                key = kids[p], kids[q]
-                template = pairs.get(key)
-                if template is None:
-                    template = pairs[key] = _template(key, class_of)
-                c, d = first[p], first[q]
-                for ps, p_mask, qs, q_mask in template:
-                    out.append((*map(c.__add__, ps), *map(d.__add__, qs)))
-                    out_masks.append(p_mask << c | q_mask << d)
-                continue
             placed.update(block)
             _group(block, kids, first, class_of, out, out_masks)
         for parent in branching:
             if parent not in placed:
                 template = lone.get(kids[parent])
                 if template is None:
-                    template = lone[kids[parent]] = _template((kids[parent],), class_of)
+                    template = lone[kids[parent]] = _template(kids[parent], class_of)
                 c = first[parent]
-                for ps, mask, _, _ in template:
-                    out.append(tuple(map(c.__add__, ps)))
+                for offsets, mask in template:
+                    out.append(tuple(map(c.__add__, offsets)))
                     out_masks.append(mask << c)
         blocks[agent] = tuple(out)
         block_masks[agent] = out_masks
@@ -324,34 +310,25 @@ def _product_names(label, parent_of, action_of) -> tuple:
     return tuple(zip(map(label.__getitem__, parent_of), action_of))
 
 
-def _template(kids_of: tuple, class_of: dict) -> tuple:
-    """The groups ``_group`` gives one parent, or a pair of parents, whose
-    actions are ``kids_of``: per program class shared by two or more of
-    their children, the first parent's children as offsets from its first
-    child with their mask, then the second's (none for one parent)."""
-    groups: dict = {}  # class -> (first parent's offsets, second's)
-    for i, kids in enumerate(kids_of):
-        for offset, action in enumerate(kids):
-            key = class_of[action]
-            if key in groups:
-                groups[key][i].append(offset)
-            else:
-                groups[key] = ([offset], []) if i == 0 else ([], [offset])
-    return tuple(
-        (tuple(ps), _block_mask(ps), tuple(qs), _block_mask(qs))
-        for ps, qs in groups.values()
-        if len(ps) + len(qs) > 1
-    )
+def _template(kids: tuple, class_of: dict) -> tuple:
+    """The groups ``_group`` gives one parent whose children's actions are
+    ``kids``: per program class shared by two or more of them, their
+    offsets from the parent's first child, with their mask."""
+    groups: dict = {}
+    for offset, action in enumerate(kids):
+        groups.setdefault(class_of.get(action, action), []).append(offset)
+    return tuple((tuple(g), _block_mask(g)) for g in groups.values() if len(g) > 1)
 
 
 def _group(parents, kids, first, class_of, out, out_masks) -> None:
     """Append each set of two or more children of ``parents`` (one class)
-    sharing a program class to ``out``, its mask to ``out_masks``."""
+    sharing a program class to ``out``, its mask to ``out_masks``; an action
+    in no block of ``class_of`` is a class of its own."""
     groups: dict = {}
     for parent in parents:
         child = first[parent]
         for action in kids[parent]:
-            key = class_of[action]
+            key = class_of.get(action, action)
             if key in groups:
                 groups[key].append(child)
             else:

@@ -185,12 +185,6 @@ def _entries_match(decoded, oracle) -> bool:
     return False
 
 
-def pair_sort_key(world):
-    """``world_sort_key``'s order for a pair of plain names, without its
-    recursion: the pair's parent as text, then its action id."""
-    return (str(world[0]), world[1])
-
-
 def _name_order(core) -> list:
     """The name order ``core`` keeps, or else its world numbers sorted by
     their names: by the bulk keys of ``_plain_parts`` when it has them, by

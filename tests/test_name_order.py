@@ -17,7 +17,7 @@ from epimachine.action import applicable_designated, product_update
 from epimachine.codec import DEFAULT_PADDING
 from epimachine.logic import EquivRelation, PointedKripkeModel, world_sort_key
 from epimachine.program import GROWTH_MODES, compile_program
-from epimachine.runner import _fit_text, emulate, export_dot, pair_sort_key
+from epimachine.runner import _fit_text, emulate, export_dot
 
 from helpers import load, random_partition_model, reference_dot
 from test_core import FAITHFUL_PLAIN_CAP, RUNS
@@ -40,7 +40,7 @@ def _eager_names(trace, program):
     for i in range(1, len(trace.entries)):
         ranks = None
         if i > 1:
-            ranks = {w: k for k, w in enumerate(sorted(names[-1], key=pair_sort_key))}
+            ranks = {w: k for k, w in enumerate(sorted(names[-1], key=world_sort_key))}
         model = product_update(model, program, ranks)
         names.append(model._numbered().names)
     return names

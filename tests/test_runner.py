@@ -8,8 +8,6 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import epimachine
 from epimachine import runner
@@ -22,7 +20,6 @@ from epimachine.logic import (
     PointedKripkeModel,
     make_model,
     sorted_worlds,
-    world_sort_key,
 )
 from epimachine.machine import HALTED, FiniteConfiguration, parse_machine, run_oracle, step
 from epimachine.program import compile_program
@@ -481,20 +478,6 @@ def test_a_reencoded_run_stops_where_its_tape_outgrows_the_span_limit(tmp_path, 
     edge.write_text("machine edge\nstates r\nstart r\nhead 9990\ntrans r 0 -> r 1 R\ntrans r 1 -> r 1 R\n")
     assert main(["verify", str(edge), "--steps", "6", "--reencode"]) == 2
     assert "cell span 10001 exceeds the limit" in capsys.readouterr().err
-
-
-_parent_names = st.one_of(
-    st.integers(0, 40),
-    st.builds(lambda kind, j: f"{kind}[{j}]", st.sampled_from("csh"), st.integers(-12, 12)),
-)
-
-
-@given(st.lists(st.tuples(_parent_names, st.sampled_from(("cell:mid", "cell:L", "copy", "grow:R1")))))
-@settings(max_examples=200)
-def test_pair_sort_key_orders_pairs_like_world_sort_key(worlds):
-    """Parents are step indices on both sides of 10 (so text order and
-    number order differ) or encoder names."""
-    assert sorted(worlds, key=runner.pair_sort_key) == sorted(worlds, key=world_sort_key)
 
 
 def _assert_blocks_only(model, label):

@@ -1,11 +1,13 @@
-"""The update's child groups of a lone branching parent, and of a pair block
-with a branching member, kept per program as templates of child offsets:
-filled as the update meets them, they give the cores that empty ones give,
-and they are freed with their program."""
+"""The per-program class tables the update reads: each agent's table holds
+only the actions of its relation's blocks, and its child groups of a lone
+branching parent, kept as templates of child offsets, give the cores that
+empty ones give when filled as the update meets them, and are freed with
+their program."""
 
 import gc
 import weakref
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,9 +15,9 @@ from epimachine import action
 from epimachine.action import applicable_designated, build_program, product_update
 from epimachine.codec import encode
 from epimachine.logic import Evaluator
-from epimachine.program import compile_program
+from epimachine.program import GROWTH_MODES, compile_program
 
-from helpers import load, random_partition_model
+from helpers import generated_machine, load, random_partition_model
 from test_action import AGENTS, _random_partition_program
 
 
@@ -32,8 +34,40 @@ def _core(model):
 
 
 def _templates(program):
-    """Each agent's lone-parent and pair-block template dicts."""
-    return [t for _, _, lone, pairs in program._layout()[3].values() for t in (lone, pairs)]
+    """Each agent's lone-parent template dict."""
+    return [lone for _, _, lone in program._layout()[3].values()]
+
+
+def _assert_tables_hold_only_block_members(program):
+    """Each agent's block positions are those of its relation's block
+    members alone, and its one-action roots are those among them; so the
+    tables grow with the blocks, not with agents times actions."""
+    roots = program._layout()[1]
+    for agent, table in program._layout()[3].items():
+        class_of, single = table[0], table[1]
+        blocks = program.relations[agent].blocks()
+        assert class_of == {a: i for i, block in enumerate(blocks) for a in block}
+        assert single == {r: class_of[r[0]] for r in roots if len(r) == 1 and r[0] in class_of}
+
+
+CORPUS = ("flip", "increment", "bb2", "bb3", "march", "bb4")
+
+
+@pytest.mark.parametrize("mode", GROWTH_MODES)
+@pytest.mark.parametrize("name", CORPUS)
+def test_class_tables_hold_only_block_members(name, mode):
+    spec, _ = load(name)
+    _assert_tables_hold_only_block_members(compile_program(spec, mode).program)
+
+
+def test_class_tables_of_a_large_program_hold_only_block_members():
+    _assert_tables_hold_only_block_members(compile_program(generated_machine(400)[0]).program)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=100)
+def test_class_tables_of_random_programs_hold_only_block_members(rng):
+    _assert_tables_hold_only_block_members(_random_partition_program(rng))
 
 
 def _cores(models, program_of, updates):

@@ -87,13 +87,11 @@ class EpistemicProgram(Value):
 
     def _layout(self) -> tuple:
         """``plan``, each root's actions, each designated action in id order
-        with its root's position, and per agent its class table: each member
-        of the relation's blocks with its block's position, the one-action
-        roots among them with theirs, and the update's child groups of a
-        lone parent by its actions, filled as the update meets them
-        (``_template``). An action in no block is a class of its own, named
-        by the action, so the tables grow with the blocks, not with agents
-        times actions."""
+        with its root's position, per agent its class table (each member of
+        the relation's blocks with its block's position; an action in no
+        block is a class of its own, so the tables grow with the blocks, not
+        with agents times actions), and the program's branching shapes
+        (``_shape``), made as the update meets them, by a parent's actions."""
         layout = self.__dict__.get("_plan_layout")
         if layout is None:
             by_root: dict = {}  # precondition -> its actions, in action order
@@ -102,13 +100,11 @@ class EpistemicProgram(Value):
             position = {root: i for i, root in enumerate(by_root)}
             designated = tuple((a, position[self.pre[a]]) for a in sorted(self.designated))
             roots = tuple(map(tuple, by_root.values()))
-            one = {r for r in roots if len(r) == 1}
-            classes = {}
-            for agent, relation in self.relations.items():
-                class_of = {a: i for i, block in enumerate(relation.blocks()) for a in block}
-                single = {(a,): i for a, i in class_of.items() if (a,) in one}
-                classes[agent] = (class_of, single, {})
-            layout = (plan_of(tuple(by_root)), roots, designated, classes)
+            classes = {
+                agent: {a: i for i, block in enumerate(relation.blocks()) for a in block}
+                for agent, relation in self.relations.items()
+            }
+            layout = (plan_of(tuple(by_root)), roots, designated, classes, {})
             _set(self, "_plan_layout", layout)
         return layout
 
@@ -164,7 +160,7 @@ def applicable_designated(
 ) -> list[str]:
     """Designated actions whose precondition holds at the point, in action-id
     order. Length 1 means the update is defined and deterministic here."""
-    plan, _, designated, _ = program._layout()
+    plan, _, designated = program._layout()[:3]
     ev = Evaluator.of(model)
     return _designated(ev.run(plan), ev._core.point, designated)
 
@@ -186,15 +182,16 @@ def product_update(
     a sort of names. The child is its core alone, built from the
     parent's: the children are numbered parent by parent, and each relation
     is built in one pass over the parent's blocks, each child block with its
-    mask. The child's worlds are named when first read; an encoding parent
-    and a parent given by its order are left unnamed till then, any other
-    parent is named now.
+    mask, then a branching parent alone in its class adds the groups of the
+    program's shape of its actions. The child's worlds are named when first
+    read; an encoding parent and a parent given by its order are left
+    unnamed till then, any other parent is named now.
     """
     ev = Evaluator.of(model)
     core = ev._core
     if core.blocks.keys() != program.relations.keys():
         raise ValueError("model and program use different agent universes")
-    plan, root_actions, designated, action_classes = program._layout()
+    plan, root_actions, designated, action_classes, shapes = program._layout()
     masks = ev.run(plan)
     chosen = _designated(masks, core.point, designated)
     if not chosen:
@@ -232,44 +229,41 @@ def product_update(
 
     # (w,a) ~i (v,b) iff w ~i v and a ~i b, so two product worlds share a
     # class of two or more only if their parents share a block, or they are
-    # children of one parent by two actions of one program class. A parent's
-    # tag is its only child's block position in the program, or else ~p,
-    # which no other tag equals: a pair block gives the child pair when the
-    # tags are equal, or when both parents' only child is by one action,
-    # which the tags miss for an action in no block. Lone branching parents
-    # take their groups from the program's templates; any other block with a
-    # branching parent is grouped by program class.
-    blocks = {}
-    block_masks = {}
+    # children of one parent by two actions of one program class. A pair
+    # block of parents with at most one child each gives the child pair when
+    # both children's actions share a class; any other block with a
+    # branching parent is grouped by program class. A branching parent alone
+    # in its class takes its groups from the program's shape of its actions.
+    blocks, block_masks, placed = {}, {}, {}
     for agent, parent_blocks in core.blocks.items():
-        class_of, single, lone = action_classes[agent]
-        out: list = []
-        out_masks: list = []
-        placed: set = set()
-        tag = single.get
+        get = action_classes[agent].get
+        out = blocks[agent] = []
+        out_masks = block_masks[agent] = []
+        grouped = placed[agent] = set()
         for block in parent_blocks:
             if len(block) == 2:
                 p, q = block
-                if tag(kids[p], ~p) == tag(kids[q], ~q) or counts[p] == 1 and kids[p] == kids[q]:
-                    c, d = first[p], first[q]
-                    out.append((c, d))
-                    out_masks.append(1 << c | 1 << d)
-                    continue
                 if counts[p] < 2 and counts[q] < 2:
+                    if counts[p] and counts[q]:
+                        (a,), (b,) = kids[p], kids[q]
+                        if get(a, a) == get(b, b):
+                            c, d = first[p], first[q]
+                            out.append((c, d))
+                            out_masks.append(1 << c | 1 << d)
                     continue
-            placed.update(block)
-            _group(block, kids, first, class_of, out, out_masks)
-        for parent in branching:
-            if parent not in placed:
-                template = lone.get(kids[parent])
-                if template is None:
-                    template = lone[kids[parent]] = _template(kids[parent], class_of)
-                c = first[parent]
-                for offsets, mask in template:
-                    out.append(tuple(map(c.__add__, offsets)))
-                    out_masks.append(mask << c)
-        blocks[agent] = tuple(out)
-        block_masks[agent] = out_masks
+            grouped.update(block)
+            _group(block, kids, first, action_classes[agent], out, out_masks)
+    for parent in branching:
+        shape = shapes.get(kids[parent])
+        if shape is None:
+            shape = shapes[kids[parent]] = _shape(kids[parent], action_classes)
+        c = first[parent]
+        for agent, groups in shape:
+            if parent not in placed[agent]:
+                for offsets, mask in groups:
+                    blocks[agent].append(tuple(map(c.__add__, offsets)))
+                    block_masks[agent].append(mask << c)
+    blocks = {agent: tuple(out) for agent, out in blocks.items()}
 
     inherited = map(_bits_of(core.valuation, n).__getitem__, parent_of)
     values = bytes(map(program.post.get, action_of, inherited))
@@ -310,14 +304,17 @@ def _product_names(label, parent_of, action_of) -> tuple:
     return tuple(zip(map(label.__getitem__, parent_of), action_of))
 
 
-def _template(kids: tuple, class_of: dict) -> tuple:
-    """The groups ``_group`` gives one parent whose children's actions are
-    ``kids``: per program class shared by two or more of them, their
-    offsets from the parent's first child, with their mask."""
-    groups: dict = {}
-    for offset, action in enumerate(kids):
-        groups.setdefault(class_of.get(action, action), []).append(offset)
-    return tuple((tuple(g), _block_mask(g)) for g in groups.values() if len(g) > 1)
+def _shape(kids: tuple, action_classes: dict) -> tuple:
+    """Per agent under which two of a parent's actions ``kids`` share a
+    class, the groups ``_group`` gives that parent alone: each group's child
+    offsets from the parent's first child, with its mask."""
+    shape = []
+    for agent, class_of in action_classes.items():
+        out, out_masks = [], []
+        _group((0,), (kids,), (0,), class_of, out, out_masks)
+        if out:
+            shape.append((agent, tuple(zip(out, out_masks))))
+    return tuple(shape)
 
 
 def _group(parents, kids, first, class_of, out, out_masks) -> None:

@@ -249,6 +249,32 @@ def test_updated_relations_stay_equivalences_for_compiled_programs():
         assert s5_defect(model) is None
 
 
+@pytest.mark.parametrize(("mode", "steps"), [("repaired", 30), ("faithful", 8)])
+@pytest.mark.parametrize("name", ["bb3", "bb4", "march"])
+def test_compiled_updates_group_children_by_parent_class_then_action_class(name, mode, steps):
+    """At every step, each agent's child blocks are the children grouped by
+    the parent's class, then by the action's class, both read from the
+    relations' ``class_of``: the product update's definition."""
+    from epimachine.codec import encode
+
+    spec, initial = load(name)
+    program = compile_program(spec, mode).program
+    model = encode(initial, spec.states).model
+    for step in range(steps):
+        if len(applicable_designated(model, program)) != 1:
+            break
+        child = product_update(model, program)
+        for agent, relation in model.relations.items():
+            groups: dict = {}
+            for w, a in child.worlds:
+                key = relation.class_of(w), program.relations[agent].class_of(a)
+                groups.setdefault(key, set()).add((w, a))
+            expected = {frozenset(g) for g in groups.values() if len(g) > 1}
+            assert set(child.relations[agent].blocks()) == expected
+        model = child
+    assert step > 4
+
+
 def _random_partition_program(rng):
     """A program whose relations mix lone actions with classes of 2-4
     actions, with random preconditions and postconditions."""

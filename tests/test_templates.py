@@ -1,8 +1,8 @@
-"""The per-program class tables the update reads: each agent's table holds
-only the actions of its relation's blocks, and its child groups of a lone
-branching parent, kept as templates of child offsets, give the cores that
-empty ones give when filled as the update meets them, and are freed with
-their program."""
+"""The per-program tables the update reads: each agent's class table is its
+relation's block index, and the program's branching shapes, kept by a
+branching parent's actions, hold only the agents under which two of those
+actions share a class, are made once per program, give the cores that a
+fresh program gives, and are freed with their program."""
 
 import gc
 import weakref
@@ -22,7 +22,7 @@ from test_action import AGENTS, _random_partition_program
 
 
 def _copy(program):
-    """The same program with empty templates."""
+    """The same program with no shapes made yet."""
     return build_program(
         program.actions, program.relation_pairs, program.pre, program.post, program.designated
     )
@@ -33,21 +33,31 @@ def _core(model):
     return core.size, core.names, core.blocks, core.masks, core.valuation, core.point
 
 
-def _templates(program):
-    """Each agent's lone-parent template dict."""
-    return [lone for _, _, lone in program._layout()[3].values()]
+def _shapes(program):
+    """The program's branching shapes, by the parent's actions."""
+    return program._layout()[4]
+
+
+def _counting(monkeypatch):
+    """The action tuples ``action._shape`` is called for, from now on."""
+    made = []
+    shape = action._shape
+
+    def counting(kids, action_classes):
+        made.append(kids)
+        return shape(kids, action_classes)
+
+    monkeypatch.setattr(action, "_shape", counting)
+    return made
 
 
 def _assert_tables_hold_only_block_members(program):
-    """Each agent's block positions are those of its relation's block
-    members alone, and its one-action roots are those among them; so the
-    tables grow with the blocks, not with agents times actions."""
-    roots = program._layout()[1]
-    for agent, table in program._layout()[3].items():
-        class_of, single = table[0], table[1]
+    """Each agent's class table maps its relation's block members alone to
+    their block's position; so the tables grow with the blocks, not with
+    agents times actions."""
+    for agent, class_of in program._layout()[3].items():
         blocks = program.relations[agent].blocks()
         assert class_of == {a: i for i, block in enumerate(blocks) for a in block}
-        assert single == {r: class_of[r[0]] for r in roots if len(r) == 1 and r[0] in class_of}
 
 
 CORPUS = ("flip", "increment", "bb2", "bb3", "march", "bb4")
@@ -70,6 +80,26 @@ def test_class_tables_of_random_programs_hold_only_block_members(rng):
     _assert_tables_hold_only_block_members(_random_partition_program(rng))
 
 
+def _assert_shapes_hold_only_groups(program):
+    """Each shape lists, in agent order, exactly the agents under which two
+    of the parent's actions share a class, each with those actions' offsets
+    grouped by class and the groups' masks."""
+    assert _shapes(program)
+    agents = list(program.relations)
+    for kids, shape in _shapes(program).items():
+        assert len(kids) > 1
+        expected = []
+        for agent in agents:
+            groups: dict = {}
+            for offset, a in enumerate(kids):
+                groups.setdefault(program.relations[agent].class_of(a), []).append(offset)
+            groups = [tuple(g) for g in groups.values() if len(g) > 1]
+            if groups:
+                expected.append((agent, tuple((g, sum(1 << i for i in g)) for g in groups)))
+        assert list(shape) == expected
+        assert all(groups for _, groups in shape)
+
+
 def _cores(models, program_of, updates):
     """The cores of up to ``updates`` chained updates from each model, each
     update by the program ``program_of()`` gives."""
@@ -86,7 +116,7 @@ def _cores(models, program_of, updates):
 
 @given(st.randoms(use_true_random=False), st.integers(1, 3))
 @settings(max_examples=200)
-def test_warm_templates_give_the_cores_of_empty_ones(rng, fragments):
+def test_warm_shapes_give_the_cores_of_a_fresh_program(rng, fragments):
     """Random partition programs, whose classes mix lone actions with
     classes of 2-4 actions, over models whose classes mix singletons with
     classes of 2-5 worlds; the second update of each chain reads a product."""
@@ -95,48 +125,60 @@ def test_warm_templates_give_the_cores_of_empty_ones(rng, fragments):
     cold = _cores(models, lambda: _copy(program), 2)
     _cores(models, lambda: program, 2)
     assert _cores(models, lambda: program, 2) == cold
+    if _shapes(program):
+        _assert_shapes_hold_only_groups(program)
 
 
-def test_a_faithful_run_fills_the_templates_once(monkeypatch):
+def test_a_faithful_run_builds_each_shape_once(monkeypatch):
     """In faithful mode bb4's model doubles every step, with many branching
-    parents; a second run with the same program makes no template and gives
-    the same cores."""
-    made = []
-    template = action._template
-
-    def counting(kids_of, class_of):
-        made.append(kids_of)
-        return template(kids_of, class_of)
-
-    monkeypatch.setattr(action, "_template", counting)
+    parents; a second run with the same program builds no shape and gives
+    the same cores, and every shape holds only agents with a group."""
+    made = _counting(monkeypatch)
     spec, initial = load("bb4")
     program = _copy(compile_program(spec, "faithful").program)
     start = [encode(initial, spec.states).model]
     first = _cores(start, lambda: program, 8)
     assert len(first) == 8 and made
-    assert len(made) == sum(map(len, _templates(program)))
+    assert sorted(made) == sorted(_shapes(program))
+    _assert_shapes_hold_only_groups(program)
     count = len(made)
     assert _cores(start, lambda: program, 8) == first
     assert len(made) == count
     assert _cores(start, lambda: _copy(program), 8) == first
 
 
+def test_a_large_machine_builds_one_shape_per_branching_tuple(monkeypatch):
+    """20 steps of a 400-state machine build each branching parent's shape
+    once, however many agents and parents share it."""
+    made = _counting(monkeypatch)
+    spec, initial = generated_machine(400)
+    program = _copy(compile_program(spec).program)
+    model = encode(initial, spec.states).model
+    for _ in range(20):
+        if len(applicable_designated(model, program)) != 1:
+            break
+        model = product_update(model, program)
+    assert made
+    assert len(made) == len(set(made)) == len(_shapes(program))
+    _assert_shapes_hold_only_groups(program)
+
+
 class _Marker:
-    """A weakly referable object, put among a program's templates."""
+    """A weakly referable object, put among a program's shapes."""
 
 
-def test_templates_are_freed_with_their_program():
+def test_shapes_are_freed_with_their_program():
     spec, initial = load("bb4")
     program = _copy(compile_program(spec, "faithful").program)
     model = encode(initial, spec.states).model
     for _ in range(6):
         model = product_update(model, program)
-    templates = _templates(program)
-    assert any(templates)
+    shapes = _shapes(program)
+    assert shapes
     marker = _Marker()
-    templates[0]["marker"] = marker
+    shapes["marker"] = marker
     refs = weakref.ref(program), weakref.ref(marker)
-    del program, templates, marker
+    del program, shapes, marker
     Evaluator.release()
     gc.collect()
     assert [ref() for ref in refs] == [None, None]

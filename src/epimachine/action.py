@@ -87,11 +87,12 @@ class EpistemicProgram(Value):
 
     def _layout(self) -> tuple:
         """``plan``, each root's actions, each designated action in id order
-        with its root's position, per agent its class table (each member of
-        the relation's blocks with its block's position; an action in no
-        block is a class of its own, so the tables grow with the blocks, not
-        with agents times actions), and the program's branching shapes
-        (``_shape``), made as the update meets them, by a parent's actions."""
+        with its root's position, per agent its class table, which is the
+        relation's own ``index`` (each block member with its block's
+        position; an action in no block is a class of its own, so the tables
+        grow with the blocks, not with agents times actions), and the
+        program's branching shapes (``_shape``), made as the update meets
+        them, by a parent's actions."""
         layout = self.__dict__.get("_plan_layout")
         if layout is None:
             by_root: dict = {}  # precondition -> its actions, in action order
@@ -100,10 +101,7 @@ class EpistemicProgram(Value):
             position = {root: i for i, root in enumerate(by_root)}
             designated = tuple((a, position[self.pre[a]]) for a in sorted(self.designated))
             roots = tuple(map(tuple, by_root.values()))
-            classes = {
-                agent: {a: i for i, block in enumerate(relation.blocks()) for a in block}
-                for agent, relation in self.relations.items()
-            }
+            classes = {agent: relation.index for agent, relation in self.relations.items()}
             layout = (plan_of(tuple(by_root)), roots, designated, classes, {})
             _set(self, "_plan_layout", layout)
         return layout
@@ -307,13 +305,16 @@ def _product_names(label, parent_of, action_of) -> tuple:
 def _shape(kids: tuple, action_classes: dict) -> tuple:
     """Per agent under which two of a parent's actions ``kids`` share a
     class, the groups ``_group`` gives that parent alone: each group's child
-    offsets from the parent's first child, with its mask."""
+    offsets from the parent's first child, with its mask. An action in no
+    block is alone in its class, so only the agents whose class table holds
+    two or more of the actions are grouped."""
     shape = []
     for agent, class_of in action_classes.items():
-        out, out_masks = [], []
-        _group((0,), (kids,), (0,), class_of, out, out_masks)
-        if out:
-            shape.append((agent, tuple(zip(out, out_masks))))
+        if sum(map(class_of.__contains__, kids)) > 1:
+            out, out_masks = [], []
+            _group((0,), (kids,), (0,), class_of, out, out_masks)
+            if out:
+                shape.append((agent, tuple(zip(out, out_masks))))
     return tuple(shape)
 
 

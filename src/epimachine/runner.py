@@ -377,8 +377,8 @@ def export_dot(model: PointedKripkeModel) -> str:
     as ``_name_order`` gives it.
     Plain names and pairs of plain names are keyed and labelled in bulk, the
     recursive ``world_sort_key`` and ``world_label`` read any other, and the
-    nodes, and the edges of a relation of pairs, are written by one format
-    map each."""
+    nodes and the edges are written by one format map each; a relation with
+    a block of three or more members is first expanded into its pairs."""
     core = model._numbered()
     names = core.names
     order = _name_order(core)
@@ -404,7 +404,9 @@ def export_dot(model: PointedKripkeModel) -> str:
         blocks = core.blocks[agent]
         # blocks are disjoint, so their sorted rank lists sort by least rank
         ranks = sorted(map(sorted, map(map, itertools.repeat(rank.__getitem__), blocks)))
-        if set(map(len, blocks)) == {2}:
+        if set(map(len, blocks)) != {2}:  # a larger block's pairs, in rank order
+            ranks = [pair for members in ranks for pair in itertools.combinations(members, 2)]
+        if ranks:
             lows, highs = zip(*ranks)
             lines += map(
                 "  {} -- {}{}".format,
@@ -412,12 +414,6 @@ def export_dot(model: PointedKripkeModel) -> str:
                 map(node.__getitem__, highs),
                 itertools.repeat(suffix),
             )
-            continue
-        for members in ranks:
-            members = [node[k] for k in members]
-            for i, left in enumerate(members):
-                for right in members[i + 1 :]:
-                    lines.append(f"  {left} -- {right}{suffix}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

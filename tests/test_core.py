@@ -96,7 +96,12 @@ def test_update_core_matches_the_core_of_its_named_parts(rng, fragments):
 
 def test_no_step_model_is_numbered_twice(monkeypatch):
     """Every step model comes with its core, and nothing on the run reads a
-    named relation's index."""
+    named relation's index. The programs' class tables are their relations'
+    own indexes, so the programs are compiled, and their indexes built,
+    before the count starts."""
+    march, bb4 = load("march"), load("bb4")
+    for spec, _ in (march, bb4):
+        compile_program(spec).program.plan
     rebuilt = indexed = 0
     of_named = logic._Core.of_named.__func__
     index = EquivRelation.index.fget
@@ -113,10 +118,8 @@ def test_no_step_model_is_numbered_twice(monkeypatch):
 
     monkeypatch.setattr(logic._Core, "of_named", classmethod(counting_of_named))
     monkeypatch.setattr(EquivRelation, "index", property(counting_index))
-    spec, initial = load("march")
-    assert emulate(spec, initial, 20).stop_reason == "step-cap"
-    spec, initial = load("bb4")
-    assert emulate(spec, initial, 200, reencode=True).stop_reason == "halted"
+    assert emulate(*march, 20).stop_reason == "step-cap"
+    assert emulate(*bb4, 200, reencode=True).stop_reason == "halted"
     assert (rebuilt, indexed) == (0, 0)
     # the counters count: a model built from named parts is numbered on first
     # use, and its relations' indexes are built when read

@@ -1,0 +1,137 @@
+"""The refusals no other test reaches: a malformed machine file stops the
+CLI with exit status 2 and its message, malformed formula text is refused
+where it goes wrong, and the package's constructors and builders refuse
+inputs outside their domain with their own messages."""
+
+import re
+
+import pytest
+
+from epimachine.action import build_program
+from epimachine.codec import _build_tape_model, encode, validate_encoding
+from epimachine.logic import TOP, FormulaSyntaxError, make_model, parse_formula, state_agent
+from epimachine.machine import FiniteConfiguration, MachineSpec, parse_machine
+from epimachine.program import PreconditionKind, digit_formula
+from epimachine.runner import export_dot, main
+
+HEAD = "machine m\nstates q\nstart q\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("machine\nstates q\nstart q\n", "line 1: expected: machine <name>"),
+        ("machine m n\nstates q\nstart q\n", "line 1: expected: machine <name>"),
+        ("machine m\nstates\nstart q\n", "line 2: expected: states <name>..."),
+        ("machine m\nstates q\nstart\n", "line 3: expected: start <state>"),
+        ("machine m\nstates q r\nstart q r\n", "line 3: expected: start <state>"),
+        (HEAD + "halt\n", "line 4: expected: halt <state>"),
+        (HEAD + "halt q q\n", "line 4: expected: halt <state>"),
+        (HEAD + "head\n", "line 4: expected: head <integer>"),
+        (HEAD + "head 1 2\n", "line 4: expected: head <integer>"),
+        (HEAD + "trans q 0 q 1 R\n", "line 4: expected: trans <q> <0|1> -> <q'> <0|1> <L|H|R>"),
+        (HEAD + "trans q 0 => q 1 R\n", "line 4: expected: trans <q> <0|1> -> <q'> <0|1> <L|H|R>"),
+        (HEAD + "input 0 2\n", "line 4: input symbol must be 0 or 1, got '2'"),
+        ("machine m\nstates q[\nstart q[\n", "state name 'q[' contains forbidden characters"),
+        (HEAD + "halt z\n", "halt state 'z' not declared"),
+        (HEAD + "trans z 0 -> q 1 R\n", "transition from unknown state 'z'"),
+    ],
+)
+def test_a_malformed_machine_file_exits_2_with_its_message(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.tm"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("$", "unexpected character '$'", 0),
+        ("(p & p", "expected ')'", 6),
+        ("[]p", "empty agent token", 1),
+    ],
+)
+def test_malformed_formula_text_is_refused_where_it_goes_wrong(text, message, position):
+    with pytest.raises(FormulaSyntaxError, match=re.escape(f"{message} (at position {position})")) as info:
+        parse_formula(text)
+    assert info.value.position == position
+
+
+@pytest.mark.parametrize(
+    "window, tape, head, message",
+    [
+        ((1, 0), (), 0, "empty window [1, 0]"),
+        ((0, 2), (0, 0), 0, "tape length does not match the window"),
+        ((0, 1), (0, 2), 0, "tape symbols must be 0 or 1"),
+    ],
+)
+def test_a_configuration_refuses_a_malformed_window(window, tape, head, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FiniteConfiguration(window, tape, head, "q")
+
+
+@pytest.mark.parametrize(
+    "transitions, message",
+    [
+        ({("q", 2): ("q", 0, "R")}, "tape symbols must be 0 or 1"),
+        ({("q", 0): ("q", 2, "R")}, "tape symbols must be 0 or 1"),
+        ({("q", 0): ("q", 1, "X")}, "unknown move 'X'"),
+    ],
+)
+def test_a_machine_refuses_other_symbols_and_moves(transitions, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MachineSpec("m", ("q",), "q", None, transitions)
+
+
+def test_a_program_refuses_a_postcondition_on_an_unknown_action():
+    with pytest.raises(ValueError, match="postcondition on unknown action"):
+        build_program(("x",), {}, {"x": TOP}, {"y": True}, ("x",))
+
+
+def test_formula_builders_refuse_other_digits_and_unmatched_parameters():
+    with pytest.raises(ValueError, match="digit must be 0 or 1, got 2"):
+        digit_formula(2)
+    with pytest.raises(ValueError, match="kind 'digit' and digit parameter do not match"):
+        PreconditionKind("digit")
+
+
+@pytest.mark.parametrize(
+    "lo, hi, ones, head, message",
+    [
+        (1, 3, (), 1, "cell range must contain position 0"),
+        (-2, 2, (), 3, "head outside the cell range"),
+        (-2, 2, (-3,), 0, "symbol outside the cell range"),
+        (-2, 2, (0, 3), 0, "symbol outside the cell range"),
+    ],
+)
+def test_the_tape_builder_refuses_positions_outside_its_cells(lo, hi, ones, head, message):
+    with pytest.raises(ValueError, match=message):
+        _build_tape_model(lo, hi, ones, head, "q", ("q",))
+
+
+def test_validation_refuses_a_model_over_other_agents():
+    """A well-formed tape whose model has a state relation more than the
+    states it is checked against."""
+    spec, initial = parse_machine("machine m\nstates q z\nstart q\n")
+    model = encode(initial, spec.states).model
+    assert validate_encoding(model, spec.states) == (True, "ok")
+    assert validate_encoding(model, ("q",)) == (False, "agent universe mismatch")
+
+
+def test_a_model_refuses_an_unknown_agent():
+    model = make_model({"w"}, {}, (), "w")
+    with pytest.raises(ValueError, match="unknown agent index q:z"):
+        model.relation(state_agent("z"))
+
+
+def test_dot_escapes_a_backslash_in_an_edge_label():
+    """A state name may hold a backslash; its relation's edge label doubles
+    it."""
+    spec, initial = parse_machine("machine m\nstates q\\x\nstart q\\x\n")
+    assert spec.states == ("q\\x",)
+    text = export_dot(encode(initial, spec.states).model)
+    edges = [line for line in text.splitlines() if line.endswith('[label="q:q\\\\x"];')]
+    assert edges == ['  "c[0]" -- "h[0]" [label="q:q\\\\x"];']

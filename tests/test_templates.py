@@ -1,8 +1,9 @@
 """The per-program tables the update reads: each agent's class table is its
-relation's block index, and the program's branching shapes, kept by a
+relation's own block index, and the program's branching shapes, kept by a
 branching parent's actions, hold only the agents under which two of those
-actions share a class, are made once per program, give the cores that a
-fresh program gives, and are freed with their program."""
+actions share a class, are grouped only under agents that index two or more
+of those actions, are made once per program, give the cores that a fresh
+program gives, and are freed with their program."""
 
 import gc
 import weakref
@@ -52,12 +53,13 @@ def _counting(monkeypatch):
 
 
 def _assert_tables_hold_only_block_members(program):
-    """Each agent's class table maps its relation's block members alone to
-    their block's position; so the tables grow with the blocks, not with
-    agents times actions."""
+    """Each agent's class table is its relation's own index, which maps the
+    block members alone to their block's position; so the tables grow with
+    the blocks, not with agents times actions."""
     for agent, class_of in program._layout()[3].items():
-        blocks = program.relations[agent].blocks()
-        assert class_of == {a: i for i, block in enumerate(blocks) for a in block}
+        relation = program.relations[agent]
+        assert class_of is relation.index
+        assert class_of == {a: i for i, block in enumerate(relation.blocks()) for a in block}
 
 
 CORPUS = ("flip", "increment", "bb2", "bb3", "march", "bb4")
@@ -161,6 +163,40 @@ def test_a_large_machine_builds_one_shape_per_branching_tuple(monkeypatch):
     assert made
     assert len(made) == len(set(made)) == len(_shapes(program))
     _assert_shapes_hold_only_groups(program)
+
+
+def test_shapes_group_only_where_an_agent_can_group(monkeypatch):
+    """Over 20 steps of a 400-state machine, ``_shape`` groups a parent's
+    actions only under agents whose class table holds two or more of them,
+    as an action in no block is alone in its class; so it makes fewer
+    ``_group`` calls than shapes times agents."""
+    shape, group = action._shape, action._group
+    kids_of_shape: list = []  # the actions of the shape being made, if any
+    calls = []
+
+    def shaping(kids, action_classes):
+        kids_of_shape.append(kids)
+        try:
+            return shape(kids, action_classes)
+        finally:
+            kids_of_shape.pop()
+
+    def grouping(parents, kids, first, class_of, out, out_masks):
+        if kids_of_shape:
+            calls.append(sum(a in class_of for a in kids_of_shape[-1]))
+        return group(parents, kids, first, class_of, out, out_masks)
+
+    monkeypatch.setattr(action, "_shape", shaping)
+    monkeypatch.setattr(action, "_group", grouping)
+    spec, initial = generated_machine(400)
+    program = _copy(compile_program(spec).program)
+    model = encode(initial, spec.states).model
+    for _ in range(20):
+        if len(applicable_designated(model, program)) != 1:
+            break
+        model = product_update(model, program)
+    assert calls and min(calls) >= 2
+    assert len(calls) < len(_shapes(program)) * len(program.relations)
 
 
 class _Marker:

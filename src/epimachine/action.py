@@ -5,6 +5,14 @@ Actions may carry an optional constant postcondition on the single atom;
 without one, the atom value of a product world is copied from its parent
 world. Designated actions are the only candidates for the new point, and at
 most one of them may apply at the source point.
+
+The update numbers a product's worlds in one of two ways. When the parent's
+core is a tape chain (``_Core.chain``) and the children continue it, which
+the update checks in bulk on the precondition masks, the chain's children
+come first, in tape order, so the product is a chain too and its ``a`` and
+``b`` relations are slices of the shared pair tables. Otherwise, as in
+faithful mode, for a malformed model or for a program that breaks the
+chain, the children are numbered parent by parent.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ from typing import Iterable, Mapping
 
 from ._value import Value, _set
 from .logic import (
+    TAPE_A,
+    TAPE_B,
     TOP,
     Agent,
     EquivRelation,
@@ -23,6 +33,7 @@ from .logic import (
     Formula,
     Plan,
     PointedKripkeModel,
+    _alternate,
     _bits_of,
     _block_mask,
     _Core,
@@ -90,9 +101,9 @@ class EpistemicProgram(Value):
         with its root's position, per agent its class table, which is the
         relation's own ``index`` (each block member with its block's
         position; an action in no block is a class of its own, so the tables
-        grow with the blocks, not with agents times actions), and the
-        program's branching shapes (``_shape``), made as the update meets
-        them, by a parent's actions."""
+        grow with the blocks, not with agents times actions), the program's
+        branching shapes (``_shape``), made as the update meets them, by a
+        parent's actions, and its ``_Tape`` (None without ``a`` and ``b``)."""
         layout = self.__dict__.get("_plan_layout")
         if layout is None:
             by_root: dict = {}  # precondition -> its actions, in action order
@@ -102,9 +113,40 @@ class EpistemicProgram(Value):
             designated = tuple((a, position[self.pre[a]]) for a in sorted(self.designated))
             roots = tuple(map(tuple, by_root.values()))
             classes = {agent: relation.index for agent, relation in self.relations.items()}
-            layout = (plan_of(tuple(by_root)), roots, designated, classes, {})
+            tape = _Tape(roots, classes) if {TAPE_A, TAPE_B} <= classes.keys() else None
+            layout = (plan_of(tuple(by_root)), roots, designated, classes, {}, tape)
             _set(self, "_plan_layout", layout)
         return layout
+
+
+class _Tape:
+    """What the update of a core with a tape ``chain`` reads of a program:
+    the ``a`` and ``b`` class tables; its tape actions, those in a block of
+    either, each placed first (``places``); per root, once the update
+    meets it (``root``), the number of its tape actions, whether it has any
+    other, and its first tape action's ``a`` and ``b`` classes; and the end
+    paths (``_end_path``), made as the update meets them. With them, the
+    shared pair tables' longest chain and their slicer (``codec``)."""
+
+    __slots__ = ("tables", "places", "actions", "roots", "paths", "max_cells", "slices")
+
+    def __init__(self, roots: tuple, classes: dict):
+        from .codec import _MAX_CELLS, _tape_blocks  # codec builds on this module
+
+        self.max_cells, self.slices = _MAX_CELLS, _tape_blocks
+        self.tables = a, b = classes[TAPE_A], classes[TAPE_B]
+        self.places = dict.fromkeys(a.keys() | b.keys(), 0)
+        self.actions = roots
+        self.roots: list = [None] * len(roots)
+        self.paths: dict = {}
+
+    def root(self, i: int) -> tuple:
+        """Root i's entry of ``roots``, made and kept."""
+        actions = self.actions[i]
+        tape = [action for action in actions if action in self.places]
+        keys = tuple(table.get(tape[0], tape[0]) for table in self.tables) if tape else None
+        self.roots[i] = len(tape), len(tape) < len(actions), keys
+        return self.roots[i]
 
 
 def build_program(
@@ -184,12 +226,20 @@ def product_update(
     program's shape of its actions. The child's worlds are named when first
     read; an encoding parent and a parent given by its order are left
     unnamed till then, any other parent is named now.
+
+    A parent with a tape ``chain`` whose children continue it, as
+    ``_chain_slots`` checks in bulk, gets a chain child: the chain's
+    children come first, in tape order, and every other child after them,
+    parent by parent. Its ``a`` and ``b`` relations are slices of the
+    shared pair tables, and only the other relations are built as above,
+    each child number mapped through the child-slot map. Any other parent
+    numbers its children parent by parent, and the child has no chain.
     """
     ev = Evaluator.of(model)
     core = ev._core
     if core.blocks.keys() != program.relations.keys():
         raise ValueError("model and program use different agent universes")
-    plan, root_actions, designated, action_classes, shapes = program._layout()
+    plan, root_actions, designated, action_classes, shapes, tape = program._layout()
     masks = ev.run(plan)
     chosen = _designated(masks, core.point, designated)
     if not chosen:
@@ -203,15 +253,14 @@ def product_update(
     for mask, actions in zip(masks, root_actions):
         if mask:
             low = (mask & -mask).bit_length() - 1
+            if mask == 1 << low:
+                kids[low] += actions
+                continue
             for parent in itertools.compress(itertools.count(low), _bits_of(mask >> low, 0)):
                 kids[parent] += actions
     counts = list(map(len, kids))
     first = list(itertools.accumulate(counts, initial=0))
     branching = list(itertools.compress(range(n), map((1).__lt__, counts)))
-    # one sort merges two runs: the parents with a child, then the extra
-    # children's parents
-    extra = [p for p in branching for _ in kids[p][1:]]
-    parent_of = sorted([*itertools.compress(range(n), counts), *extra])
     action_of = list(itertools.chain.from_iterable(kids))
     order = None
     if type(names) is tuple:
@@ -224,6 +273,26 @@ def product_update(
         label = core.names  # a product is named now, so no chain of namers builds up
     else:  # an encoding's namer, which holds a few numbers
         label = core._names
+    point = first[core.point] + kids[core.point].index(chosen[0])
+
+    # the child-slot map: each child's number, by its place parent by parent
+    chain = slot = None
+    parent_of, off_chain = [], 0  # the parents of the chain's children, and the first parent after
+    tape_blocks = tape_masks = {}
+    if core.chain is not None and tape is not None:
+        numbered = _chain_slots(core.chain, masks, kids, first, action_of, branching, tape)
+        if numbered is not None and numbered[0][0] <= tape.max_cells:  # where the pair tables stop
+            chain, slot, parent_of, chain_actions = numbered
+            off_chain = core.chain[0]
+            tape_blocks, tape_masks = tape.slices(*chain)
+            action_of = chain_actions + action_of[first[off_chain] :]
+            point = slot[point]
+            if order is not None:
+                order = list(map(slot.__getitem__, order))
+    # the parents numbered parent by parent: one sort merges two runs, the
+    # parents with a child, then the extra children's parents
+    extra = [p for p in branching if p >= off_chain for _ in kids[p][1:]]
+    parent_of += sorted([*itertools.compress(range(off_chain, n), counts[off_chain:]), *extra])
 
     # (w,a) ~i (v,b) iff w ~i v and a ~i b, so two product worlds share a
     # class of two or more only if their parents share a block, or they are
@@ -234,6 +303,9 @@ def product_update(
     # in its class takes its groups from the program's shape of its actions.
     blocks, block_masks, placed = {}, {}, {}
     for agent, parent_blocks in core.blocks.items():
+        if agent in tape_blocks:
+            blocks[agent], block_masks[agent] = tape_blocks[agent], tape_masks[agent]
+            continue
         get = action_classes[agent].get
         out = blocks[agent] = []
         out_masks = block_masks[agent] = []
@@ -246,30 +318,173 @@ def product_update(
                         (a,), (b,) = kids[p], kids[q]
                         if get(a, a) == get(b, b):
                             c, d = first[p], first[q]
+                            if slot:
+                                c, d = slot[c], slot[d]
                             out.append((c, d))
                             out_masks.append(1 << c | 1 << d)
                     continue
             grouped.update(block)
+            start = len(out)
             _group(block, kids, first, action_classes[agent], out, out_masks)
+            if slot:
+                out[start:] = [tuple(map(slot.__getitem__, group)) for group in out[start:]]
+                out_masks[start:] = map(_block_mask, out[start:])
     for parent in branching:
         shape = shapes.get(kids[parent])
         if shape is None:
             shape = shapes[kids[parent]] = _shape(kids[parent], action_classes)
         c = first[parent]
         for agent, groups in shape:
-            if parent not in placed[agent]:
+            if agent not in tape_blocks and parent not in placed[agent]:
                 for offsets, mask in groups:
-                    blocks[agent].append(tuple(map(c.__add__, offsets)))
-                    block_masks[agent].append(mask << c)
+                    if slot:
+                        offsets = [slot[c + k] for k in offsets]
+                        blocks[agent].append(tuple(offsets))
+                        block_masks[agent].append(_block_mask(offsets))
+                    else:
+                        blocks[agent].append(tuple(map(c.__add__, offsets)))
+                        block_masks[agent].append(mask << c)
     blocks = {agent: tuple(out) for agent, out in blocks.items()}
 
     inherited = map(_bits_of(core.valuation, n).__getitem__, parent_of)
     values = bytes(map(program.post.get, action_of, inherited))
-    point = first[core.point] + kids[core.point].index(chosen[0])
     namer = functools.partial(_product_names, label, parent_of, action_of)
-    child = _Core(len(parent_of), namer, blocks, block_masks, _mask_of_bits(values), point)
+    child = _Core(len(parent_of), namer, blocks, block_masks, _mask_of_bits(values), point, chain)
     child.order = order
     return PointedKripkeModel._of_core(child)
+
+
+def _chain_slots(
+    chain: tuple, masks: list, kids: list, first: list, action_of: list, branching: list, tape: _Tape
+):
+    """The child chain of a parent with a tape ``chain`` (c, parity), given
+    the root ``masks`` and the children numbered parent by parent (parent
+    p's actions ``kids[p]``, its first child ``first[p]``, each child's
+    action ``action_of``): the child's chain, the child-slot map (each
+    child's number, by its place parent by parent), and the parents and
+    actions of the children of the chain's cells, in their new order. None
+    if the children do not continue the chain.
+
+    They continue it when, checked in bulk on the root masks: each interior
+    cell 1..c-2 has exactly one child by a tape action, no tape action
+    applies off the chain, no other action applies at two neighbouring
+    cells, the tape children of two interior neighbours share the class of
+    their pair's agent, and each end's tape children form the path
+    ``_end_path`` gives. The product relations ``a`` and ``b`` then pair
+    exactly the neighbours of the child chain: the left end's path
+    outward-in, the interior cells' tape children, the right end's path.
+    """
+    c, parity = chain
+    if c < 3:
+        return None
+    cells = (1 << c) - 1
+    interior = cells ^ 1 ^ 1 << c - 1
+    covered = 0
+    inners = []  # the a and b classes of each root's interior tape children, and their cells
+    roots = tape.roots
+    for i in itertools.compress(itertools.count(), masks):
+        mask = masks[i]
+        count, others, keys = roots[i] or tape.root(i)
+        if count:
+            if mask > cells:
+                return None
+            inner = mask & interior
+            if inner:
+                if count > 1 or inner & covered:
+                    return None
+                covered |= inner
+                inners.append((keys, inner))
+        if others:
+            on = mask & cells
+            if on & on >> 1:
+                return None
+    if covered != interior:
+        return None
+    if any(keys != inners[0][0] for keys, _ in inners):
+        # under each agent, no pair (k, k + 1) of two interior cells may
+        # hold two classes
+        pairs = interior & interior >> 1
+        for agent in (0, 1):
+            by_class: dict = {}
+            for keys, inner in inners:
+                by_class[keys[agent]] = by_class.get(keys[agent], 0) | inner
+            lefts = _alternate(c, (parity + agent) % 2) & pairs
+            for members in by_class.values():
+                if (members ^ members >> 1) & lefts:
+                    return None
+
+    # each end's path, linked to its neighbour by the agent of their pair
+    places = tape.places
+    ends = []
+    for end, near, link in ((0, 1, parity), (c - 1, c - 2, (parity + c) % 2)):
+        neighbour = kids[near]
+        (neighbour,) = neighbour if len(neighbour) == 1 else filter(places.__contains__, neighbour)
+        key = (kids[end], link, tape.tables[link].get(neighbour, neighbour))
+        path = tape.paths.get(key, ())
+        if path == ():
+            path = tape.paths[key] = _end_path(kids[end], tape, link, key[2])
+        if path is None:
+            return None
+        ends.append(path)
+    left, right = ends
+    m = len(left)
+    size = m + c - 2 + len(right)
+
+    # number the chain children and, after them, the chain cells' other
+    # children; the children of the parents off the chain keep their numbers
+    shift = m - 1  # interior cell k's child is k + shift
+    slot = list(range(first[-1]))
+    actions = [None] * size
+    parents = [0] * m + list(range(1, c - 1)) + [c - 1] * len(right)
+    rest = size
+    done = 1  # the first interior cell not yet numbered
+    for cell in [0, *[p for p in branching if 0 < p < c - 1], c - 1]:
+        if cell > done:  # interior cells with one child each
+            slot[first[done] : first[cell]] = range(done + shift, cell + shift)
+            actions[done + shift : cell + shift] = action_of[first[done] : first[cell]]
+        # a tape child's number is start + step * its place
+        if cell == 0:
+            start, step, where = shift, -1, left
+        elif cell == c - 1:
+            start, step, where = c - 1 + shift, 1, right
+        else:
+            start, step, where = cell + shift, 0, places
+        i = first[cell]
+        for action in kids[cell]:
+            place = where.get(action)
+            if place is None:
+                slot[i] = rest
+                rest += 1
+                parents.append(cell)
+                actions.append(action)
+            else:
+                slot[i] = start + step * place
+                actions[slot[i]] = action
+            i += 1
+        done = cell + 1
+    return (size, (parity + shift) % 2), slot, parents, actions
+
+
+def _end_path(kids: tuple, tape: _Tape, link: int, key) -> dict | None:
+    """Each tape action of an end cell's actions ``kids`` with its place,
+    outward, on the path that continues a chain whose neighbouring child
+    has the class ``key`` in the class table of their pair's agent,
+    ``tape.tables[link]``: the first is the one action in that class, and
+    each next one the one action left in the class of the one before,
+    under the other agent and that one in turn. None if some class holds
+    no action or two. Each search runs over every action not yet placed, so
+    no class of a placed action holds a third one: each link is a block of
+    exactly two."""
+    own = [action for action in kids if action in tape.places]
+    path: dict = {}
+    for place in range(len(own)):
+        table = tape.tables[(link + place) % 2]
+        found = [a for a in own if a not in path and table.get(a, a) == key]
+        if len(found) != 1:
+            return None
+        path[found[0]] = place
+        key = tape.tables[(link + place + 1) % 2].get(found[0], found[0])
+    return path
 
 
 def _child_order(

@@ -12,11 +12,15 @@ tables; the core names its worlds only when they are read. It refuses a
 cell span above ``MAX_SPAN`` before building anything.
 
 Decoding works on the connected component of the designated world and
-anchors absolute position 0 at that world, on world numbers. When every
-cell world lies on one tape chain through the point and every other world
-hangs on a cell, the component is the whole model and is taken from the
-chain; otherwise the model's shared checker walks it. Either way it is found
-once per model, so decode and the runner's statistics share it;
+anchors absolute position 0 at that world, on world numbers. The encoder
+numbers the cells first, in tape order, and keeps them as the core's
+``chain``, as does the update of a chain whose children continue it; on
+such a core the tape is read by a few mask comparisons, and only a core
+that fails them, or has no chain, has its cells walked one by one. When
+every cell world lies on one tape chain through the point and every other
+world hangs on a cell, the component is the whole model and is taken from
+the chain; otherwise the model's shared checker walks it. Either way it is
+found once per model, so decode and the runner's statistics share it;
 ``validate_encoding`` maps it onto the core the encoder would build. Under
 the compiled program the new point is always the descendant of the previous
 position-0 cell, so absolute head positions survive updates exactly.
@@ -35,6 +39,7 @@ from .logic import (
     TAPE_B,
     Evaluator,
     PointedKripkeModel,
+    _alternate,
     _bits_of,
     _Core,
     _mask_of,
@@ -118,27 +123,34 @@ def ceil_even(window: tuple[int, int]) -> int:
     return bound if bound % 2 == 0 else bound + 1
 
 
-# The parts of an encoding that depend on positions alone, shared by every
-# encoding: cell pair k is (k, k + 1) with mask 3 << k, and _EVEN[k] is 1
-# iff k is even. The pair tables grow on demand up to the longest chain an
-# encoding has; only a decode gives a longer one, which gets its own.
+# The cell pairs of an encoding, which depend on positions alone, shared by
+# every encoding and every chain product: cell pair k is (k, k + 1) with
+# mask 3 << k. The pair tables grow on demand up to the longest chain an
+# encoding or a product has, at most _MAX_CELLS cells; only a decode gives a
+# longer one, which gets its own, and a longer product is no chain.
 _MAX_CELLS = 2 * MAX_SPAN + 1
 _PAIRS: list = []
 _PAIR_MASKS: list = []
-_EVEN = b"\1\0" * (MAX_SPAN + 1)
 
 
 def _tables(cells: int):
-    """The pair table, mask table and even-bit bytes for a chain of ``cells``
-    cells."""
-    shared = cells <= _MAX_CELLS
-    pairs, masks = (_PAIRS, _PAIR_MASKS) if shared else ([], [])
+    """The pair table and mask table for a chain of ``cells`` cells."""
+    pairs, masks = (_PAIRS, _PAIR_MASKS) if cells <= _MAX_CELLS else ([], [])
     k = len(pairs)
     if k < cells - 1:
         ks = range(k, cells - 1)
         pairs.extend(zip(ks, range(k + 1, cells)))
         masks.extend(map((3).__lshift__, ks))
-    return pairs, masks, _EVEN if shared else b"\1\0" * (cells // 2 + 1)
+    return pairs, masks
+
+
+def _tape_blocks(cells: int, parity: int) -> tuple[dict, dict]:
+    """The ``a`` and ``b`` blocks, and their masks, of a chain of ``cells``
+    cells whose ``a`` pairs are (k, k + 1) with k % 2 == ``parity``, sliced
+    from the pair tables."""
+    pairs, masks = _tables(cells)
+    a, b = slice(parity, cells - 1, 2), slice(1 - parity, cells - 1, 2)
+    return {TAPE_A: tuple(pairs[a]), TAPE_B: tuple(pairs[b])}, {TAPE_A: masks[a], TAPE_B: masks[b]}
 
 
 def _tape_names(lo: int, hi: int, ones: tuple[int, ...], head: int) -> tuple:
@@ -157,7 +169,8 @@ def _build_tape_model(
     """Core of the model for cells lo..hi with the given 1-positions (in
     increasing order), head, and state, which numbers the worlds in chain
     order: the cells from lo, then the symbol worlds in position order, then
-    the head world. Its worlds are named when first read."""
+    the head world, and keeps the cells as its ``chain``. Its worlds are
+    named when first read."""
     if not lo <= 0 <= hi:
         raise ValueError("cell range must contain position 0")
     if not lo <= head <= hi:
@@ -166,22 +179,22 @@ def _build_tape_model(
         raise ValueError("symbol outside the cell range")
     cells = hi - lo + 1
     size = cells + len(ones) + 1
-    pairs, pair_masks, even = _tables(cells)
 
     # Each relation's generator pairs are disjoint, so they are its blocks;
     # a pairs cell k with k + 1 where lo + k is even, b where it is odd.
-    a, b = lo % 2, 1 - lo % 2
-    blocks = {TAPE_A: tuple(pairs[a : cells - 1 : 2]), TAPE_B: tuple(pairs[b : cells - 1 : 2])}
-    masks = {TAPE_A: pair_masks[a : cells - 1 : 2], TAPE_B: pair_masks[b : cells - 1 : 2]}
+    a = lo % 2
+    blocks, masks = _tape_blocks(cells, a)
     blocks[SYMBOL] = tuple(zip([j - lo for j in ones], range(cells, size - 1)))
     masks[SYMBOL] = [1 << x | 1 << y for x, y in blocks[SYMBOL]]
     for q in states:
         agent, current = state_agent(q), q == state
         blocks[agent] = ((head - lo, size - 1),) if current else ()
         masks[agent] = [1 << (head - lo) | 1 << (size - 1)] if current else []
-    values = even[a : a + cells] + bytes([j % 2 == 0 for j in (*ones, head)])
+    # p holds at the even positions: the cells where the a pairs start, and
+    # the symbol and head worlds of even cells
+    values = _alternate(cells, a) | _mask_of_bits(bytes([j % 2 == 0 for j in (*ones, head)])) << cells
     names = functools.partial(_tape_names, lo, hi, ones, head)
-    return _Core(size, names, blocks, masks, _mask_of_bits(values), -lo)
+    return _Core(size, names, blocks, masks, values, -lo, (cells, a))
 
 
 def encode(
@@ -255,7 +268,13 @@ def _attached(core: _Core, cells: int) -> int:
 def _read(ev: Evaluator, cells: int, masks: list, states: tuple, label):
     """Read ``cells`` as a tape, given the decoder's root ``masks``: Malformed,
     HALTED, or the configuration and the chain. ``label`` words a world
-    number in a Malformed reason."""
+    number in a Malformed reason.
+
+    On a core with a tape ``chain`` of c cells the tape is read by mask
+    comparisons: the cells are exactly 0..c-1, the ends are 0 and c-1, and
+    the cells hold p exactly where the ``a`` pairs start, so the walk below
+    would go 0, 1, .., c-1. When a comparison fails the chain is walked,
+    and the walk words any Malformed reason."""
     core = ev._core
     _, leftmost, rightmost, one, *heads = masks
     if not cells >> core.point & 1:
@@ -270,10 +289,16 @@ def _read(ev: Evaluator, cells: int, masks: list, states: tuple, label):
     left_end = left_ends.bit_length() - 1
     right_end = right_ends.bit_length() - 1
 
+    n = core.size
+    if core.chain is not None:
+        c, parity = core.chain
+        if left_end == 0 and right_end == c - 1 and cells == (1 << c) - 1:
+            if not (core.valuation ^ _alternate(c, parity)) & cells:
+                return _configuration(range(c), cells, one, heads, states, core.point, n)
+
     # Walk the chain left to right. From a p-cell the right neighbor is its
     # a-partner, from a non-p-cell its b-partner; both must be the other
     # member of a block of exactly two along the way.
-    n = core.size
     is_cell = _bits_of(cells, n)
     values = _bits_of(core.valuation, n)
     tape = [(ev._owner(agent), core.blocks[agent]) for agent in (TAPE_B, TAPE_A)]  # by p
@@ -298,7 +323,12 @@ def _read(ev: Evaluator, cells: int, masks: list, states: tuple, label):
         current = nxt
     if len(chain) != cells.bit_count():  # every visited world is a cell
         return Malformed("cells outside the tape chain")
+    return _configuration(chain, cells, one, heads, states, core.point, n)
 
+
+def _configuration(chain, cells: int, one: int, heads: list, states: tuple, point: int, n: int):
+    """HALTED, Malformed or the configuration and ``chain``, given the cells
+    in chain order and the decoder's digit-1 and head masks."""
     heads = [(q, cells & head) for q, head in zip(states, heads) if cells & head]
     if not heads:
         return HALTED
@@ -306,9 +336,8 @@ def _read(ev: Evaluator, cells: int, masks: list, states: tuple, label):
         return Malformed("multiple heads")
     head_state, head = heads[0]
 
-    anchor = chain.index(core.point)
-    ones = _bits_of(cells & one, n)
-    symbols = tuple(ones[k] for k in chain)
+    anchor = chain.index(point)
+    symbols = tuple(map(_bits_of(cells & one, n).__getitem__, chain))
     config = FiniteConfiguration(
         (-anchor, len(chain) - 1 - anchor),
         symbols,

@@ -15,7 +15,9 @@ one integer core: its worlds numbered 0..n-1 and named when first read,
 each relation's blocks as number tuples and masks, the valuation as one
 mask. A model the encoder or the update builds is its core alone, and its
 worlds, relations, valuation and point are named from the core when first
-read; a model built from named parts numbers its worlds on first use. The
+read; a model built from named parts numbers its worlds on first use. A
+core whose worlds 0..c-1 are a tape chain says so (``_Core.chain``), and
+the checker runs a box over its ``a`` or ``b`` relation by shifts. The
 checker reads the core and keeps satisfaction sets as integer bitmasks. It
 evaluates plans: a plan, compiled once for a tuple of root formulas, has
 one step per distinct node that is not a negation, with each chain of
@@ -649,6 +651,12 @@ def _block_mask(block: Iterable[int]) -> int:
     return sum(map((1).__lshift__, block))
 
 
+def _alternate(size: int, parity: int) -> int:
+    """The mask of the numbers k < ``size`` with k % 2 == ``parity``."""
+    even = int.from_bytes(b"\x55" * (size // 8 + 1), "little") & ((1 << size) - 1)
+    return even if parity == 0 else even ^ ((1 << size) - 1)
+
+
 class _Core:
     """A model's worlds numbered 0..size-1: their names in that order, each
     relation's blocks as tuples of world numbers and as masks (bit k for
@@ -656,12 +664,19 @@ class _Core:
     builds a core gives each block's mask with it, in block order, and the
     names either as a tuple or as a namer, a callable that makes the tuple
     when ``names`` is first read. ``order``, once known, lists the world
-    numbers in ``world_sort_key`` order of their names. A core refers to no
-    other model or core."""
+    numbers in ``world_sort_key`` order of their names. ``chain``, when
+    given, is (c, parity) for a core whose worlds 0..c-1 are a tape chain:
+    the ``a`` blocks are exactly the pairs (k, k + 1) with k % 2 == parity
+    and k + 1 < c, the ``b`` blocks the other such pairs, and the builder
+    gave them in that order. A core refers to no other model or core."""
 
-    __slots__ = ("size", "_names", "blocks", "masks", "valuation", "point", "order", "__weakref__")
+    __slots__ = (
+        "size", "_names", "blocks", "masks", "valuation", "point", "order", "chain", "__weakref__"
+    )
 
-    def __init__(self, size: int, names, blocks: Mapping, masks: Mapping, valuation: int, point: int):
+    def __init__(
+        self, size: int, names, blocks: Mapping, masks: Mapping, valuation: int, point: int, chain=None
+    ):
         self.size = size
         self._names = names
         self.blocks = blocks
@@ -669,6 +684,7 @@ class _Core:
         self.valuation = valuation
         self.point = point
         self.order = None
+        self.chain = chain
 
     @property
     def names(self) -> tuple:
@@ -811,7 +827,9 @@ class Evaluator:
     a mask. ``And`` costs one integer operation, a negation folded into an
     operand none, and ``Box`` removes from its inner set every class of the
     agent with more than one member that the inner set does not contain (a
-    world alone in its class satisfies [i]f iff it satisfies f). After a run
+    world alone in its class satisfies [i]f iff it satisfies f); on a core
+    with a tape ``chain`` a box over ``a`` or ``b`` clears its pairs by two
+    shifts and one parity mask instead (``_tape_lefts``). After a run
     the masks of the roots and of every node inside are memoized on the
     formula node, which interning makes one object per distinct formula, so
     ``check``, ``mask``, ``sat_set`` and ``run`` answer from the memo when
@@ -820,13 +838,14 @@ class Evaluator:
     (``members``, ``sat_set``, ``check``) go through the core's name list.
     """
 
-    __slots__ = ("model", "_core", "_full", "_masks", "_owners", "_position", "_component")
+    __slots__ = ("model", "_core", "_full", "_tape", "_masks", "_owners", "_position", "_component")
     _last: "Evaluator | None" = None
 
     def __init__(self, model: PointedKripkeModel):
         self.model = model
         self._core = model._numbered()
         self._full = (1 << self._core.size) - 1
+        self._tape = _tape_lefts(self._core.chain)
         self._masks: dict = {}
         self._owners: dict = {}  # agent -> each world's block position, or None
         self._position = None  # world name -> number, built on first use
@@ -883,6 +902,7 @@ class Evaluator:
         for agent in plan.agents:
             if agent not in classes:
                 raise ValueError(f"unknown agent index {agent.token}")
+        tape = self._tape
         masks = [None] * len(plan.steps)
         for slot, op, x, y in plan.steps:
             if op == _AND_NOT:
@@ -894,9 +914,13 @@ class Evaluator:
                 out = masks[y] if op == _BOX_NOT else full ^ masks[y]
                 value = full ^ out
                 if out:
-                    for block in classes[x]:
-                        if out & block:
-                            value &= ~block
+                    if x in tape:  # the pairs (k, k + 1) with k in tape[x]
+                        bad = (out | out >> 1) & tape[x]
+                        value &= ~(bad | bad << 1)
+                    else:
+                        for block in classes[x]:
+                            if out & block:
+                                value &= ~block
                 masks[slot] = value
             elif op == _AND:
                 masks[slot] = masks[x] & masks[y]
@@ -945,6 +969,18 @@ class Evaluator:
                         blocks[i] = ()
             self._component = _mask_of_bits(seen)
         return self._component
+
+
+@functools.lru_cache(maxsize=64)
+def _tape_lefts(chain) -> dict:
+    """Per tape agent of a core's ``chain``, the mask of the left members of
+    its pairs; empty for a core without one. The checkers of the cores with
+    one chain share the dict, and only read it."""
+    if chain is None:
+        return {}
+    c, parity = chain
+    a = _alternate(c - 1, parity)
+    return {TAPE_A: a, TAPE_B: a ^ ((1 << c - 1) - 1)}
 
 
 def eval_formula(model: PointedKripkeModel, world: World, formula: Formula) -> bool:

@@ -1,5 +1,6 @@
 """Emulation loop, lock-step verification against the direct simulator, and
-trace/graph exports, plus the command line interface.
+trace/graph exports; the command line interface that drives them is
+``cli``.
 
 One emulation step is one product update of the current model with the
 compiled program. Each step is decoded and compared against the direct
@@ -15,10 +16,12 @@ ones the next update would choose from. ``emulate`` keeps every step;
 one step's model at a time.
 
 A run reuses the program ``compile_program`` keeps on the spec, and reads
-the stats of each encoding off the encoder (``encoded_stats``). Decode
-takes a product model's component from its cell chain, so the component is
-walked, once, only when a world lies outside it or the cells do not read as
-a tape.
+the stats of each encoding off the encoder (``encoded_stats``). Every
+model of a ``repaired`` run is a tape chain (``_Core.chain``): the encoder
+numbers the cells first, in tape order, and each update keeps them first.
+So decode reads the tape by mask comparisons and takes the component from
+the chain, and the component is walked, once, only when a world lies
+outside it or the cells do not read as a tape.
 Each kept model runs one plan, the program's, and decode and stats read
 their formulas from that run; a product model about to be re-encoded runs
 only the decoder's plan. Every model is its integer core, built by the
@@ -42,11 +45,9 @@ run names no world, and the DOT export reads the order to rank its nodes.
 
 from __future__ import annotations
 
-import argparse
 import bisect
 import itertools
 import json
-import sys
 import time
 from pathlib import Path
 
@@ -59,13 +60,11 @@ from .machine import (
     FiniteConfiguration,
     MachineSpec,
     configs_equivalent,
-    integer,
     normalize,
     parse_machine,
-    run_oracle,
     step,
 )
-from .program import GROWTH_MODES, CompiledProgram, cell_formula, compile_program, export_compiled
+from .program import CompiledProgram, cell_formula, compile_program
 
 
 class ModelStats(Value):
@@ -469,155 +468,5 @@ def export_trace_json(trace: StepTrace) -> str:
     return _trace_json(trace, [_step_json(entry) for entry in trace.entries])
 
 
-# ---------------------------------------------------------------------------
-# command line interface
-
-
 def load_machine(path: str | Path) -> tuple[MachineSpec, FiniteConfiguration]:
     return parse_machine(Path(path).read_text(encoding="utf-8"))
-
-
-def _describe(value) -> str:
-    if value is HALTED:
-        return "halted"
-    if isinstance(value, Malformed):
-        return f"malformed ({value.reason})"
-    return (
-        f"state={value.state} head={value.head} "
-        f"window=[{value.window[0]},{value.window[1]}] tape={value.tape_text()}"
-    )
-
-
-def _cmd_emulate(args) -> int:
-    """Print each step, and write its DOT file, as the step is built; the
-    trace keeps each step's JSON record, not its model, until the run ends.
-    The files written after the run are checked, and the program's text
-    rendered, before it starts; the DOT directory is made once step 0 is
-    built."""
-    spec, initial = load_machine(args.machine)
-    compiled = compile_program(spec, args.mode)
-    for path in [Path(target) for target in (args.trace, args.emit_program) if target]:
-        if not path.parent.is_dir():
-            raise NotADirectoryError(f"cannot write {path}: no directory {path.parent}")
-        if path.is_dir():
-            raise IsADirectoryError(f"cannot write {path}: it is a directory")
-    program_text = export_compiled(compiled) if args.emit_program else None
-    directory = Path(args.dot_dir) if args.dot_dir else None
-    records = []
-    run = _steps(spec, initial, args.steps, args.mode, args.reencode, args.padding, compiled)
-    for entry in run:
-        if directory and not entry.index:
-            directory.mkdir(parents=True, exist_ok=True)
-        flag = "ok" if entry.match else "MISMATCH"
-        print(
-            f"step {entry.index}: {_describe(entry.decoded)} | oracle {_describe(entry.oracle)}"
-            f" | worlds={entry.stats.worlds} component={entry.stats.component_worlds}"
-            f" cells={entry.stats.cells} detached={entry.stats.detached} [{flag}]"
-        )
-        if args.trace:
-            records.append(_step_json(entry))
-        if directory:
-            (directory / f"step_{entry.index:03d}.dot").write_text(
-                export_dot(entry.model), encoding="utf-8"
-            )
-    stop_reason, error = _stop_of(entry, args.steps)
-    print(f"stopped: {stop_reason}" + (f" ({error})" if error else ""))
-    if args.trace:
-        trace = StepTrace(spec.name, args.mode, args.reencode, args.padding, [], stop_reason, error)
-        Path(args.trace).write_text(_trace_json(trace, records), encoding="utf-8")
-        print(f"trace written to {args.trace}")
-    if directory:
-        print(f"dot files written to {directory}")
-    if args.emit_program:
-        Path(args.emit_program).write_text(program_text, encoding="utf-8")
-        print(f"program written to {args.emit_program}")
-    return 0
-
-
-def _cmd_oracle(args) -> int:
-    spec, initial = load_machine(args.machine)
-    trace = run_oracle(spec, initial, args.steps)
-    for index, config in enumerate(trace.configs):
-        print(f"step {index}: {_describe(config)}")
-    print("halted" if trace.halted else f"step cap reached at {trace.steps}")
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    spec, initial = load_machine(args.machine)
-    report = verify_lockstep(spec, initial, args.steps, args.mode, args.reencode, args.padding)
-    print(
-        f"machine={report.machine} mode={report.mode} steps={report.steps} "
-        f"stop={report.stop_reason} wall={report.wall_time:.3f}s"
-    )
-    if report.first_divergence is not None:
-        print(f"first divergence at step {report.first_divergence}")
-    print(f"halt agreement: {'yes' if report.halt_agreement else 'no'}")
-    if report.ok():
-        print("verdict: emulation matches the direct simulation")
-        return 0
-    print("verdict: FAILED")
-    return 1
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="epimachine",
-        description="Emulate binary Turing machines by product update of pointed Kripke models.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("machine", help="machine description file")
-        p.add_argument("--steps", type=integer, default=50, help="step cap (default 50)")
-
-    def add_update_opts(p):
-        p.add_argument(
-            "--mode",
-            choices=GROWTH_MODES,
-            default="repaired",
-            help="tape growth mode; 'faithful' is the literal paired-action "
-            "construction (known boundary defect, kept for regression runs)",
-        )
-        p.add_argument(
-            "--reencode",
-            action="store_true",
-            help="decode and re-encode after each step (fresh padding, drops detached worlds)",
-        )
-        p.add_argument(
-            "--padding",
-            type=integer,
-            default=DEFAULT_PADDING,
-            help="blank cells beyond the even window bound (odd, default 5)",
-        )
-
-    p_emulate = sub.add_parser("emulate", help="run the update loop and print each step")
-    add_common(p_emulate)
-    add_update_opts(p_emulate)
-    p_emulate.add_argument("--trace", help="write the step trace as JSON")
-    p_emulate.add_argument("--dot-dir", help="write one DOT file per step model")
-    p_emulate.add_argument("--emit-program", help="write the compiled program as JSON")
-
-    p_oracle = sub.add_parser("oracle", help="print the direct simulation trajectory")
-    add_common(p_oracle)
-
-    p_verify = sub.add_parser(
-        "verify", help="exit 0 iff emulation and direct simulation agree"
-    )
-    add_common(p_verify)
-    add_update_opts(p_verify)
-
-    args = parser.parse_args(argv)
-    try:
-        if args.command == "emulate":
-            return _cmd_emulate(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        return _cmd_verify(args)
-    except (OSError, RecursionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

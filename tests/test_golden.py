@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from epimachine.runner import main
+from epimachine.cli import main
 
 from helpers import MACHINE_DIR
 

@@ -121,31 +121,52 @@ def test_a_tape_core_of_either_parity_has_the_eager_names(monkeypatch):
 @pytest.mark.parametrize("mapped", [False, True])
 def test_product_names_read_back_as_parent_and_action(mapped):
     """Each child reads back as (w, a), or (names[w], a) under a map of the
-    parents, numbered parent by parent. The first parent is an encoding
-    whose names are unread; the later ones are products."""
+    parents. The first parent is an encoding whose names are unread; the
+    later ones are products. A ``repaired`` parent's tape chain continues
+    in its children, which come first, in tape order, and the other
+    children after them, parent by parent; a ``faithful`` product breaks
+    the chain, and its children are numbered parent by parent."""
     spec, initial = load("bb4")
-    program = compile_program(spec, "repaired").program
-    models = [encode(initial, spec.states).model]
-    maps = []
-    for _ in range(8):
-        parent = models[-1]
-        names = None
-        if mapped:
-            names = {w: ("n", k) for k, w in enumerate(reversed(parent._numbered().names))}
-        maps.append(names)
-        models.append(product_update(parent, program, names))
-    assert not _is_named(models[-1])
-    assert _is_named(models[0]) == mapped  # a map is made from the names
-    for parent, child, names in zip(models, models[1:], maps):
-        label = {w: w if names is None else names[w] for w in parent._numbered().names}
-        read = child._numbered().names
-        assert len(read) == child._numbered().size == len(set(read))
-        assert set(read) == {
-            (label[w], a) for a in program.actions for w in sat_set(parent, program.pre[a])
-        }
-        number = {name: k for k, name in enumerate(label.values())}
-        parents = [number[w] for w, _ in read]
-        assert parents == sorted(parents)
+    for mode, steps in (("repaired", 8), ("faithful", 6)):
+        program = compile_program(spec, mode).program
+        tape = program.relations[TAPE_A].index.keys() | program.relations[TAPE_B].index.keys()
+        models = [encode(initial, spec.states).model]
+        maps = []
+        for _ in range(steps):
+            parent = models[-1]
+            names = None
+            if mapped:
+                names = {w: ("n", k) for k, w in enumerate(reversed(parent._numbered().names))}
+            maps.append(names)
+            models.append(product_update(parent, program, names))
+        assert not _is_named(models[-1])
+        assert _is_named(models[0]) == mapped  # a map is made from the names
+        for parent, child, names in zip(models, models[1:], maps):
+            label = {w: w if names is None else names[w] for w in parent._numbered().names}
+            read = child._numbered().names
+            assert len(read) == child._numbered().size == len(set(read))
+            assert set(read) == {
+                (label[w], a) for a in program.actions for w in sat_set(parent, program.pre[a])
+            }
+            number = {name: k for k, name in enumerate(label.values())}
+            parents = [number[w] for w, _ in read]
+            chain = child._numbered().chain
+            assert (chain is None) == (mode == "faithful")
+            if chain is None:
+                assert parents == sorted(parents)
+                continue
+            # the chain: the parent's cells' tape children, in tape order
+            size, parity = chain
+            cells = parent._numbered().chain[0]
+            assert parents[:size] == sorted(parents[:size])
+            assert set(parents[:size]) == set(range(cells))
+            assert [a in tape for _, a in read] == [True] * size + [False] * (len(read) - size)
+            pairs = [(k, k + 1) for k in range(size - 1)]
+            blocks = child._numbered().blocks
+            assert list(blocks[TAPE_A]) == pairs[parity::2]
+            assert list(blocks[TAPE_B]) == pairs[1 - parity :: 2]
+            # the rest, parent by parent
+            assert parents[size:] == sorted(parents[size:])
 
 
 def test_a_reencoded_run_makes_no_names(monkeypatch):

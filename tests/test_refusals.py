@@ -12,7 +12,8 @@ from epimachine.codec import _build_tape_model, encode, validate_encoding
 from epimachine.logic import TOP, FormulaSyntaxError, make_model, parse_formula, state_agent
 from epimachine.machine import FiniteConfiguration, MachineSpec, parse_machine
 from epimachine.program import PreconditionKind, digit_formula
-from epimachine.runner import export_dot, main
+from epimachine.cli import main
+from epimachine.runner import export_dot
 
 HEAD = "machine m\nstates q\nstart q\n"
 

@@ -23,13 +23,13 @@ from epimachine.logic import (
 )
 from epimachine.machine import HALTED, FiniteConfiguration, parse_machine, run_oracle, step
 from epimachine.program import compile_program
+from epimachine.cli import main
 from epimachine.runner import (
     emulate,
     encoded_stats,
     export_dot,
     export_trace_json,
     load_machine,
-    main,
     model_stats,
     verify_lockstep,
 )

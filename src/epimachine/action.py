@@ -9,10 +9,10 @@ most one of them may apply at the source point.
 The update numbers a product's worlds in one of two ways. When the parent's
 core is a tape chain (``_Core.chain``) and the children continue it, which
 the update checks in bulk on the precondition masks, the chain's children
-come first, in tape order, so the product is a chain too and its ``a`` and
-``b`` relations are slices of the shared pair tables. Otherwise, as in
-faithful mode, for a malformed model or for a program that breaks the
-chain, the children are numbered parent by parent.
+come first, in tape order, so the product is a chain too, which states its
+``a`` and ``b`` relations. Otherwise, as in faithful mode, for a malformed
+model or for a program that breaks the chain, the children are numbered
+parent by parent.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .logic import (
     _Core,
     _mask_of_bits,
     _ranks,
+    _tape_blocks,
     closure,
     format_formula,
     parse_formula,
@@ -125,15 +126,11 @@ class _Tape:
     either, each placed first (``places``); per root, once the update
     meets it (``root``), the number of its tape actions, whether it has any
     other, and its first tape action's ``a`` and ``b`` classes; and the end
-    paths (``_end_path``), made as the update meets them. With them, the
-    shared pair tables' longest chain and their slicer (``codec``)."""
+    paths (``_end_path``), made as the update meets them."""
 
-    __slots__ = ("tables", "places", "actions", "roots", "paths", "max_cells", "slices")
+    __slots__ = ("tables", "places", "actions", "roots", "paths")
 
     def __init__(self, roots: tuple, classes: dict):
-        from .codec import _MAX_CELLS, _tape_blocks  # codec builds on this module
-
-        self.max_cells, self.slices = _MAX_CELLS, _tape_blocks
         self.tables = a, b = classes[TAPE_A], classes[TAPE_B]
         self.places = dict.fromkeys(a.keys() | b.keys(), 0)
         self.actions = roots
@@ -220,20 +217,20 @@ def product_update(
     labelled by its position k in ``order``, the child is (k, a), and the
     child's core keeps its own name order, built from the parent's without
     a sort of names. The child is its core alone, built from the
-    parent's: the children are numbered parent by parent, and each relation
-    is built in one pass over the parent's blocks, each child block with its
-    mask, then a branching parent alone in its class adds the groups of the
-    program's shape of its actions. The child's worlds are named when first
-    read; an encoding parent and a parent given by its order are left
-    unnamed till then, any other parent is named now.
+    parent's: each relation is built in one pass over the parent's blocks,
+    each child block with its mask, then a branching parent alone in its
+    class adds the groups of the program's shape of its actions. Every
+    child gets its number from the child-slot map, by its place parent by
+    parent. The child's worlds are named when first read; an encoding
+    parent and a parent given by its order are left unnamed till then, any
+    other parent is named now.
 
     A parent with a tape ``chain`` whose children continue it, as
-    ``_chain_slots`` checks in bulk, gets a chain child: the chain's
-    children come first, in tape order, and every other child after them,
-    parent by parent. Its ``a`` and ``b`` relations are slices of the
-    shared pair tables, and only the other relations are built as above,
-    each child number mapped through the child-slot map. Any other parent
-    numbers its children parent by parent, and the child has no chain.
+    ``_chain_slots`` checks in bulk, gets a chain child: its slot map
+    numbers the chain's children first, in tape order, and every other
+    child after them, parent by parent. The chain states its ``a`` and
+    ``b`` relations, so only the other relations are built. Any other
+    parent's slot map is the identity, and the child has no chain.
     """
     ev = Evaluator.of(model)
     core = ev._core
@@ -276,15 +273,15 @@ def product_update(
     point = first[core.point] + kids[core.point].index(chosen[0])
 
     # the child-slot map: each child's number, by its place parent by parent
-    chain = slot = None
+    chain, slot = None, list(range(first[-1]))
     parent_of, off_chain = [], 0  # the parents of the chain's children, and the first parent after
-    tape_blocks = tape_masks = {}
+    tape_blocks = {}
     if core.chain is not None and tape is not None:
         numbered = _chain_slots(core.chain, masks, kids, first, action_of, branching, tape)
-        if numbered is not None and numbered[0][0] <= tape.max_cells:  # where the pair tables stop
+        if numbered is not None:
             chain, slot, parent_of, chain_actions = numbered
             off_chain = core.chain[0]
-            tape_blocks, tape_masks = tape.slices(*chain)
+            tape_blocks = _tape_blocks(*chain)
             action_of = chain_actions + action_of[first[off_chain] :]
             point = slot[point]
             if order is not None:
@@ -304,9 +301,10 @@ def product_update(
     blocks, block_masks, placed = {}, {}, {}
     for agent, parent_blocks in core.blocks.items():
         if agent in tape_blocks:
-            blocks[agent], block_masks[agent] = tape_blocks[agent], tape_masks[agent]
+            blocks[agent] = tape_blocks[agent]
             continue
-        get = action_classes[agent].get
+        class_of = action_classes[agent]
+        get = class_of.get
         out = blocks[agent] = []
         out_masks = block_masks[agent] = []
         grouped = placed[agent] = set()
@@ -317,18 +315,15 @@ def product_update(
                     if counts[p] and counts[q]:
                         (a,), (b,) = kids[p], kids[q]
                         if get(a, a) == get(b, b):
-                            c, d = first[p], first[q]
-                            if slot:
-                                c, d = slot[c], slot[d]
+                            c, d = slot[first[p]], slot[first[q]]
                             out.append((c, d))
                             out_masks.append(1 << c | 1 << d)
                     continue
             grouped.update(block)
-            start = len(out)
-            _group(block, kids, first, action_classes[agent], out, out_masks)
-            if slot:
-                out[start:] = [tuple(map(slot.__getitem__, group)) for group in out[start:]]
-                out_masks[start:] = map(_block_mask, out[start:])
+            for group in _group(block, kids, first, class_of):
+                group = tuple(map(slot.__getitem__, group))
+                out.append(group)
+                out_masks.append(_block_mask(group))
     for parent in branching:
         shape = shapes.get(kids[parent])
         if shape is None:
@@ -336,14 +331,10 @@ def product_update(
         c = first[parent]
         for agent, groups in shape:
             if agent not in tape_blocks and parent not in placed[agent]:
-                for offsets, mask in groups:
-                    if slot:
-                        offsets = [slot[c + k] for k in offsets]
-                        blocks[agent].append(tuple(offsets))
-                        block_masks[agent].append(_block_mask(offsets))
-                    else:
-                        blocks[agent].append(tuple(map(c.__add__, offsets)))
-                        block_masks[agent].append(mask << c)
+                for offsets in groups:
+                    group = tuple(slot[c + k] for k in offsets)
+                    blocks[agent].append(group)
+                    block_masks[agent].append(_block_mask(group))
     blocks = {agent: tuple(out) for agent, out in blocks.items()}
 
     inherited = map(_bits_of(core.valuation, n).__getitem__, parent_of)
@@ -520,22 +511,21 @@ def _product_names(label, parent_of, action_of) -> tuple:
 def _shape(kids: tuple, action_classes: dict) -> tuple:
     """Per agent under which two of a parent's actions ``kids`` share a
     class, the groups ``_group`` gives that parent alone: each group's child
-    offsets from the parent's first child, with its mask. An action in no
-    block is alone in its class, so only the agents whose class table holds
-    two or more of the actions are grouped."""
+    offsets from the parent's first child. An action in no block is alone
+    in its class, so only the agents whose class table holds two or more of
+    the actions are grouped."""
     shape = []
     for agent, class_of in action_classes.items():
         if sum(map(class_of.__contains__, kids)) > 1:
-            out, out_masks = [], []
-            _group((0,), (kids,), (0,), class_of, out, out_masks)
-            if out:
-                shape.append((agent, tuple(zip(out, out_masks))))
+            groups = _group((0,), (kids,), (0,), class_of)
+            if groups:
+                shape.append((agent, groups))
     return tuple(shape)
 
 
-def _group(parents, kids, first, class_of, out, out_masks) -> None:
-    """Append each set of two or more children of ``parents`` (one class)
-    sharing a program class to ``out``, its mask to ``out_masks``; an action
+def _group(parents, kids, first, class_of) -> tuple:
+    """Each set of two or more children of ``parents`` (one class) sharing
+    a program class, by the children's numbers parent by parent; an action
     in no block of ``class_of`` is a class of its own."""
     groups: dict = {}
     for parent in parents:
@@ -547,10 +537,7 @@ def _group(parents, kids, first, class_of, out, out_masks) -> None:
             else:
                 groups[key] = [child]
             child += 1
-    for group in groups.values():
-        if len(group) > 1:
-            out.append(tuple(group))
-            out_masks.append(_block_mask(group))
+    return tuple(tuple(group) for group in groups.values() if len(group) > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +582,9 @@ def import_program(text: str) -> tuple[EpistemicProgram, dict]:
 
     Returns the program plus a dict with any ``roles`` (as family/detail
     dicts) and remaining metadata keys. Stored relations marked
-    ``closed: true`` are accepted; closing is idempotent.
+    ``closed: true`` are accepted; closing is idempotent. A relation pair
+    that is not a list of two ids is refused, and so is a postcondition
+    that is not a boolean.
     """
     doc = json.loads(text)
     pre = {}
@@ -607,13 +596,15 @@ def import_program(text: str) -> tuple[EpistemicProgram, dict]:
         actions.append(action)
         pre[action] = parse_formula(entry["pre"])
         if "post" in entry:
-            post[action] = bool(entry["post"])
+            post[action] = entry["post"]  # build_program refuses a value that is not a boolean
         if "role" in entry:
             roles[action] = dict(entry["role"])
-    relation_pairs = {
-        Agent.from_token(token): tuple((p[0], p[1]) for p in spec["pairs"])
-        for token, spec in doc["relations"].items()
-    }
+    relation_pairs = {}
+    for token, spec in doc["relations"].items():
+        for pair in spec["pairs"]:
+            if type(pair) is not list or len(pair) != 2:
+                raise ValueError(f"relation {token}: pair {pair!r} is not two action ids")
+        relation_pairs[Agent.from_token(token)] = tuple(map(tuple, spec["pairs"]))
     program = build_program(actions, relation_pairs, pre, post, doc["designated"])
     extras = {
         key: value

@@ -7,9 +7,10 @@ attached through the relation of the current state. The atom p holds
 exactly at even absolute positions, which is what makes the cell chain
 walkable and the end cells recognizable. Every relation of an encoding
 pairs disjoint worlds, so the encoder writes the model's integer core down
-directly, slicing its cell pairs, their masks and parity bits from shared
-tables; the core names its worlds only when they are read. It refuses a
-cell span above ``MAX_SPAN`` before building anything.
+directly: the cells as its ``chain``, which states the tape relations, and
+the symbol and state blocks with their masks; the core names its worlds
+only when they are read. It refuses a cell span above ``MAX_SPAN`` before
+building anything.
 
 Decoding works on the connected component of the designated world and
 anchors absolute position 0 at that world, on world numbers. The encoder
@@ -44,6 +45,7 @@ from .logic import (
     _Core,
     _mask_of,
     _mask_of_bits,
+    _tape_blocks,
     plan_of,
     state_agent,
     world_label,
@@ -123,36 +125,6 @@ def ceil_even(window: tuple[int, int]) -> int:
     return bound if bound % 2 == 0 else bound + 1
 
 
-# The cell pairs of an encoding, which depend on positions alone, shared by
-# every encoding and every chain product: cell pair k is (k, k + 1) with
-# mask 3 << k. The pair tables grow on demand up to the longest chain an
-# encoding or a product has, at most _MAX_CELLS cells; only a decode gives a
-# longer one, which gets its own, and a longer product is no chain.
-_MAX_CELLS = 2 * MAX_SPAN + 1
-_PAIRS: list = []
-_PAIR_MASKS: list = []
-
-
-def _tables(cells: int):
-    """The pair table and mask table for a chain of ``cells`` cells."""
-    pairs, masks = (_PAIRS, _PAIR_MASKS) if cells <= _MAX_CELLS else ([], [])
-    k = len(pairs)
-    if k < cells - 1:
-        ks = range(k, cells - 1)
-        pairs.extend(zip(ks, range(k + 1, cells)))
-        masks.extend(map((3).__lshift__, ks))
-    return pairs, masks
-
-
-def _tape_blocks(cells: int, parity: int) -> tuple[dict, dict]:
-    """The ``a`` and ``b`` blocks, and their masks, of a chain of ``cells``
-    cells whose ``a`` pairs are (k, k + 1) with k % 2 == ``parity``, sliced
-    from the pair tables."""
-    pairs, masks = _tables(cells)
-    a, b = slice(parity, cells - 1, 2), slice(1 - parity, cells - 1, 2)
-    return {TAPE_A: tuple(pairs[a]), TAPE_B: tuple(pairs[b])}, {TAPE_A: masks[a], TAPE_B: masks[b]}
-
-
 def _tape_names(lo: int, hi: int, ones: tuple[int, ...], head: int) -> tuple:
     """The world names of an encoding, in chain order."""
     return (*map("c[{}]".format, range(lo, hi + 1)), *map("s[{}]".format, ones), f"h[{head}]")
@@ -183,9 +155,9 @@ def _build_tape_model(
     # Each relation's generator pairs are disjoint, so they are its blocks;
     # a pairs cell k with k + 1 where lo + k is even, b where it is odd.
     a = lo % 2
-    blocks, masks = _tape_blocks(cells, a)
+    blocks = _tape_blocks(cells, a)
     blocks[SYMBOL] = tuple(zip([j - lo for j in ones], range(cells, size - 1)))
-    masks[SYMBOL] = [1 << x | 1 << y for x, y in blocks[SYMBOL]]
+    masks = {SYMBOL: [1 << x | 1 << y for x, y in blocks[SYMBOL]]}
     for q in states:
         agent, current = state_agent(q), q == state
         blocks[agent] = ((head - lo, size - 1),) if current else ()
@@ -235,9 +207,9 @@ def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
     world as the tape. A reading that holds puts every cell on one chain
     through the point, so inside its component: the component's cells are
     the cells read, and no walk is needed. If moreover every other world
-    shares a symbol or state block with a cell, every world is reachable,
-    and the checker keeps that as the component. Otherwise, after a failed
-    reading, the component is walked and its cells are read.
+    shares a block with a cell, every world is reachable, and the checker
+    keeps that as the component. Otherwise, after a failed reading, the
+    component is walked and its cells are read.
     """
     ev = Evaluator.of(model)
     core = ev._core
@@ -254,14 +226,13 @@ def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
 
 
 def _attached(core: _Core, cells: int) -> int:
-    """``cells`` and every block of the symbol and state relations that meets
-    them."""
+    """``cells`` and every block with a mask that meets them: on a chain
+    core, the symbol and state blocks."""
     reach = cells
-    for agent, masks in core.masks.items():
-        if agent is not TAPE_A and agent is not TAPE_B:
-            for mask in masks:
-                if mask & cells:
-                    reach |= mask
+    for masks in core.masks.values():
+        for mask in masks:
+            if mask & cells:
+                reach |= mask
     return reach
 
 

@@ -16,13 +16,13 @@ each relation's blocks as number tuples and masks, the valuation as one
 mask. A model the encoder or the update builds is its core alone, and its
 worlds, relations, valuation and point are named from the core when first
 read; a model built from named parts numbers its worlds on first use. A
-core whose worlds 0..c-1 are a tape chain says so (``_Core.chain``), and
-the checker runs a box over its ``a`` or ``b`` relation by shifts. The
-checker reads the core and keeps satisfaction sets as integer bitmasks. It
-evaluates plans: a plan, compiled once for a tuple of root formulas, has
-one step per distinct node that is not a negation, with each chain of
-negations folded into its operand's parity, and runs as one flat pass per
-model whose masks are memoized on the formula nodes.
+core whose worlds 0..c-1 are a tape chain says so (``_Core.chain``), which
+states its ``a`` and ``b`` relations, and the checker runs a box over
+either by shifts. The checker reads the core and keeps satisfaction sets
+as integer bitmasks. It evaluates plans: a plan, compiled once for a tuple
+of root formulas, has one step per distinct node that is not a negation,
+with each chain of negations folded into its operand's parity, and runs as
+one flat pass per model whose masks are memoized on the formula nodes.
 """
 
 from __future__ import annotations
@@ -646,9 +646,15 @@ def _mask_of(indices: Iterable[int], size: int) -> int:
     return _mask_of_bits(bits)
 
 
-def _block_mask(block: Iterable[int]) -> int:
-    """The mask of a block's distinct world numbers, one shift per member."""
-    return sum(map((1).__lshift__, block))
+def _block_mask(block: tuple) -> int:
+    """The mask of a block's distinct world numbers. The members are set
+    relative to the lowest one and shifted up once, so only the result is
+    a large integer."""
+    low = min(block)
+    mask = 0
+    for k in block:
+        mask |= 1 << k - low
+    return mask << low
 
 
 def _alternate(size: int, parity: int) -> int:
@@ -667,8 +673,9 @@ class _Core:
     numbers in ``world_sort_key`` order of their names. ``chain``, when
     given, is (c, parity) for a core whose worlds 0..c-1 are a tape chain:
     the ``a`` blocks are exactly the pairs (k, k + 1) with k % 2 == parity
-    and k + 1 < c, the ``b`` blocks the other such pairs, and the builder
-    gave them in that order. A core refers to no other model or core."""
+    and k + 1 < c, the ``b`` blocks the other such pairs, as
+    ``_tape_blocks`` gives them, and ``masks`` holds neither relation. A
+    core refers to no other model or core."""
 
     __slots__ = (
         "size", "_names", "blocks", "masks", "valuation", "point", "order", "chain", "__weakref__"
@@ -828,14 +835,15 @@ class Evaluator:
     operand none, and ``Box`` removes from its inner set every class of the
     agent with more than one member that the inner set does not contain (a
     world alone in its class satisfies [i]f iff it satisfies f); on a core
-    with a tape ``chain`` a box over ``a`` or ``b`` clears its pairs by two
-    shifts and one parity mask instead (``_tape_lefts``). After a run
-    the masks of the roots and of every node inside are memoized on the
-    formula node, which interning makes one object per distinct formula, so
-    ``check``, ``mask``, ``sat_set`` and ``run`` answer from the memo when
-    it holds what they ask. Otherwise ``run`` runs every step of the plan,
-    and the others a formula's one-root plan. The named methods
-    (``members``, ``sat_set``, ``check``) go through the core's name list.
+    with a tape ``chain``, which holds no masks of ``a`` and ``b``, a box
+    over either clears its pairs by two shifts and one parity mask
+    (``_tape_lefts``). After a run the masks of the roots and of every node
+    inside are memoized on the formula node, which interning makes one
+    object per distinct formula, so ``check``, ``mask``, ``sat_set`` and
+    ``run`` answer from the memo when it holds what they ask. Otherwise
+    ``run`` runs every step of the plan, and the others a formula's one-root
+    plan. The named methods (``members``, ``sat_set``, ``check``) go through
+    the core's name list.
     """
 
     __slots__ = ("model", "_core", "_full", "_tape", "_masks", "_owners", "_position", "_component")
@@ -900,7 +908,7 @@ class Evaluator:
         full = self._full
         classes = self._core.masks
         for agent in plan.agents:
-            if agent not in classes:
+            if agent not in self._core.blocks:
                 raise ValueError(f"unknown agent index {agent.token}")
         tape = self._tape
         masks = [None] * len(plan.steps)
@@ -969,6 +977,20 @@ class Evaluator:
                         blocks[i] = ()
             self._component = _mask_of_bits(seen)
         return self._component
+
+
+# The cell pairs (k, k + 1) of every chain core, shared by the encoder and
+# the update; the table grows on demand to the longest chain built.
+_PAIRS: list = []
+
+
+def _tape_blocks(cells: int, parity: int) -> dict:
+    """The ``a`` and ``b`` blocks of the chain (``cells``, ``parity``),
+    sliced from the pair table."""
+    k = len(_PAIRS)
+    if k < cells - 1:
+        _PAIRS.extend(zip(range(k, cells - 1), range(k + 1, cells)))
+    return {TAPE_A: tuple(_PAIRS[parity : cells - 1 : 2]), TAPE_B: tuple(_PAIRS[1 - parity : cells - 1 : 2])}
 
 
 @functools.lru_cache(maxsize=64)

@@ -396,9 +396,12 @@ def export_compiled(compiled: CompiledProgram) -> str:
 
 def import_compiled(text: str) -> CompiledProgram:
     """Inverse of ``export_compiled``. Role tags may be left out; a tag
-    that disagrees with its action id is refused."""
+    that disagrees with its action id is refused, and so is a growth mode
+    not in ``GROWTH_MODES``."""
     program, extras = import_program(text)
     for action, tag in extras["roles"].items():
         if ActionRole(tag.get("family"), tag.get("detail", "")) != ActionRole.of(action):
             raise ValueError(f"role tag {tag} of action {action!r} disagrees with its id")
+    if extras["growth_mode"] not in GROWTH_MODES:
+        raise ValueError(f"growth mode {extras['growth_mode']!r} is not one of {GROWTH_MODES}")
     return CompiledProgram(program, extras["growth_mode"], extras["machine"])

@@ -231,6 +231,32 @@ def test_import_accepts_pre_closed_relations():
     assert back.relations == program.relations
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_import_refuses_a_postcondition_that_is_not_a_boolean(value):
+    """bb2's ``grow:L2`` sets p false; a value that is not a JSON boolean,
+    such as the string "false", is refused, not read as its truth value."""
+    import json
+
+    spec, _ = load("bb2")
+    doc = json.loads(export_compiled(compile_program(spec)))
+    (entry,) = [e for e in doc["actions"] if e["id"] == "grow:L2"]
+    assert entry["post"] is False
+    entry["post"] = value
+    with pytest.raises(ValueError, match="postconditions must assign a constant boolean"):
+        import_program(json.dumps(doc))
+
+
+@pytest.mark.parametrize("pair", [["go", "stay", "go"], ["go"], [], "gs", {"go": "stay"}])
+def test_import_refuses_a_relation_pair_that_is_not_two_ids(pair):
+    import json
+
+    program = build_program(("go", "stay"), {TAPE_A: (), TAPE_B: ()}, {"go": P, "stay": neg(P)}, None, ("go",))
+    doc = json.loads(export_program(program))
+    doc["relations"]["b"]["pairs"] = [["go", "stay"], pair]
+    with pytest.raises(ValueError, match=r"relation b: pair .* is not two action ids"):
+        import_program(json.dumps(doc))
+
+
 def test_applicable_designated_on_flip_model(flip_machine, flip_encoded):
     spec, _ = flip_machine
     compiled = compile_program(spec)

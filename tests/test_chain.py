@@ -15,7 +15,7 @@ import pytest
 
 from epimachine import runner
 from epimachine.action import DeterminismViolation, applicable_designated, build_program, product_update
-from epimachine.codec import Malformed, _tape_blocks, decode, encode
+from epimachine.codec import Malformed, decode, encode
 from epimachine.logic import (
     TAPE_A,
     TAPE_B,
@@ -25,16 +25,17 @@ from epimachine.logic import (
     _bits_of,
     _block_mask,
     _Core,
+    _tape_blocks,
     box,
     conj,
     neg,
     state_agent,
 )
-from epimachine.machine import FiniteConfiguration, configs_equivalent, parse_machine, run_oracle
+from epimachine.machine import MAX_SPAN, FiniteConfiguration, configs_equivalent, parse_machine, run_oracle
 from epimachine.program import GROWTH_MODES, compile_program
 from epimachine.runner import emulate, model_stats
 
-from helpers import MACHINE_DIR, load, random_config
+from helpers import load, random_config
 from test_core import RUNS
 
 # seeded random machines, each with one transition left undefined; the
@@ -75,20 +76,28 @@ MACHINES = [(name, cap, load(name)) for name, cap in RUNS] + [
 
 
 def _unchained(model):
-    """``model`` with its core's ``chain`` cleared, names and order kept."""
+    """``model`` with its core's ``chain`` cleared, names and order kept;
+    the ``a`` and ``b`` masks the chain stood for are made from the blocks."""
     core = model._numbered()
-    copy = _Core(core.size, core._names, core.blocks, core.masks, core.valuation, core.point)
+    masks = dict(core.masks)
+    if core.chain is not None:
+        masks.update((agent, list(map(_block_mask, core.blocks[agent]))) for agent in (TAPE_A, TAPE_B))
+    copy = _Core(core.size, core._names, core.blocks, masks, core.valuation, core.point)
     copy.order = core.order
     return PointedKripkeModel._of_core(copy)
 
 
 def _by_names(model):
     """The model by world names: size, each relation's blocks, valuation,
-    point and the carried name order. Every block's mask is checked too."""
+    point and the carried name order. Every block's mask is checked too,
+    but for a chain core's ``a`` and ``b``, which have none."""
     core = model._numbered()
     names = core.names
     for agent, blocks in core.blocks.items():
-        assert list(core.masks[agent]) == list(map(_block_mask, blocks))
+        if core.chain is not None and agent in (TAPE_A, TAPE_B):
+            assert agent not in core.masks
+        else:
+            assert list(core.masks[agent]) == list(map(_block_mask, blocks))
     blocks = {agent: {frozenset(map(names.__getitem__, b)) for b in bs} for agent, bs in core.blocks.items()}
     valuation = {name for name, bit in zip(names, _bits_of(core.valuation, core.size)) if bit}
     order = None if core.order is None else [names[k] for k in core.order]
@@ -154,10 +163,10 @@ def _bare_chain(rng):
     parity, 0-2 worlds off it, a random valuation and point."""
     c, parity = rng.randint(1, 12), rng.randint(0, 1)
     size = c + rng.randint(0, 2)
-    blocks, masks = _tape_blocks(c, parity)
     names = tuple(f"w{k}" for k in range(size))
     valuation = rng.getrandbits(size)
-    return PointedKripkeModel._of_core(_Core(size, names, blocks, masks, valuation, rng.randrange(size), (c, parity)))
+    core = _Core(size, names, _tape_blocks(c, parity), {}, valuation, rng.randrange(size), (c, parity))
+    return PointedKripkeModel._of_core(core)
 
 
 _TAPE_FORMULAS = [P, neg(P), TOP, neg(TOP), box(TAPE_A, neg(P)), box(TAPE_B, neg(P)), conj(P, box(TAPE_B, P))]
@@ -286,18 +295,19 @@ def test_an_intact_chain_core_is_read_without_a_walk(monkeypatch):
     assert walked == []
 
 
-def test_a_product_longer_than_the_pair_tables_is_no_chain(monkeypatch):
-    """The shared pair tables stop at ``codec._MAX_CELLS`` cells, so a
-    product past it is numbered parent by parent, and so is every later
-    one; the run still agrees with the direct simulation. A program reads
-    the bound when it first updates, so the machine is parsed afresh."""
-    from epimachine import codec
+def test_a_plain_run_at_the_span_limit_stays_a_chain():
+    """A head at 9990 walking right, 3 plain steps: every step model is a
+    chain core, the chains growing past ``2 * MAX_SPAN + 1`` cells, every
+    step agrees with the direct simulation, no step core holds masks of
+    ``a`` or ``b``, and no module keeps a table of masks."""
+    from epimachine import codec, logic
 
-    monkeypatch.setattr(codec, "_MAX_CELLS", 30)
-    spec, initial = parse_machine((MACHINE_DIR / "march.tm").read_text())
-    trace = emulate(spec, initial, 8)
+    lines = ["machine edge", "states r", "start r", "head 9990", "trans r 0 -> r 1 R", "trans r 1 -> r 1 R"]
+    spec, initial = parse_machine("\n".join(lines) + "\n")
+    trace = emulate(spec, initial, 3)
     assert trace.stop_reason == "step-cap" and all(entry.match for entry in trace.entries)
-    chains = [entry.model._numbered().chain for entry in trace.entries]
-    sizes = [chain[0] for chain in chains if chain is not None]
-    assert sizes == list(range(sizes[0], 31, 4))
-    assert chains[len(sizes) :] == [None] * (len(chains) - len(sizes))
+    cores = [entry.model._numbered() for entry in trace.entries]
+    assert [core.chain[0] for core in cores] == [19995, 19999, 20003, 20007] and 20007 > 2 * MAX_SPAN + 1
+    assert not any(TAPE_A in core.masks or TAPE_B in core.masks for core in cores)
+    tables = [value for module in (codec, logic) for value in vars(module).values() if type(value) is list]
+    assert not any(type(item) is int for table in tables for item in table)

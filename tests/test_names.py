@@ -9,7 +9,7 @@ import weakref
 
 import pytest
 
-from epimachine import codec, runner
+from epimachine import codec, logic, runner
 from epimachine.action import product_update
 from epimachine.codec import MAX_SPAN, _build_tape_model, encode
 from epimachine.logic import SYMBOL, TAPE_A, TAPE_B, PointedKripkeModel, sat_set, state_agent
@@ -50,7 +50,9 @@ def _assert_core_is_eager(core, lo, hi, ones, head, state, states):
     assert core.size == len(names)
     assert core.names == names
     assert {agent: list(bs) for agent, bs in core.blocks.items()} == blocks
-    assert core.masks == {agent: [1 << x | 1 << y for x, y in bs] for agent, bs in blocks.items()}
+    # the chain states a and b, so only the other relations have masks
+    tape = (TAPE_A, TAPE_B)
+    assert core.masks == {agent: [1 << x | 1 << y for x, y in bs] for agent, bs in blocks.items() if agent not in tape}
     assert (core.valuation, core.point) == (valuation, -lo)
 
 
@@ -67,9 +69,8 @@ BOUNDS = (30, 4, 90, 12, 0, 250, 60, 7, 400, 1)
 
 @pytest.mark.parametrize("padding", [3, 5, 7])
 def test_an_encoding_read_late_has_the_eager_names(monkeypatch, padding):
-    """Fresh tables, so the spans below grow them from nothing."""
-    monkeypatch.setattr(codec, "_PAIRS", [])
-    monkeypatch.setattr(codec, "_PAIR_MASKS", [])
+    """A fresh pair table, so the spans below grow it from nothing."""
+    monkeypatch.setattr(logic, "_PAIRS", [])
     spec, _ = load("bb4")
     program = compile_program(spec, "repaired").program
     rng = random.Random(padding)
@@ -89,15 +90,14 @@ def test_an_encoding_read_late_has_the_eager_names(monkeypatch, padding):
             encoded.model._numbered(), -span, span, ones, config.head, config.state, spec.states
         )
         _assert_cores_agree(encoded.model, program, spec.states)
-    assert len(codec._PAIRS) == len(codec._PAIR_MASKS) == 2 * (400 + padding)
+    assert len(logic._PAIRS) == 2 * (400 + padding)
 
 
 def test_a_tape_core_of_either_parity_has_the_eager_names(monkeypatch):
     """Windows from a decode, as ``validate_encoding`` builds them: ``lo``
     of both parities, including a chain longer than any encoding's, which
-    leaves the shared tables as they were."""
-    monkeypatch.setattr(codec, "_PAIRS", [])
-    monkeypatch.setattr(codec, "_PAIR_MASKS", [])
+    grows the shared pair table like any other."""
+    monkeypatch.setattr(logic, "_PAIRS", [])
     spec, _ = load("bb3")
     program = compile_program(spec, "repaired").program
     rng = random.Random(1)
@@ -111,11 +111,11 @@ def test_a_tape_core_of_either_parity_has_the_eager_names(monkeypatch):
         model = PointedKripkeModel._of_core(core)
         _assert_core_is_eager(core, lo, hi, ones, head, state, spec.states)
         _assert_cores_agree(model, program, spec.states)
-    assert len(codec._PAIRS) == len(codec._PAIR_MASKS) == longest
+    assert len(logic._PAIRS) == longest
     lo, hi = -MAX_SPAN - 2, MAX_SPAN + 1
     core = _build_tape_model(lo, hi, (lo, 0, hi), 0, spec.start, spec.states)
     _assert_core_is_eager(core, lo, hi, (lo, 0, hi), 0, spec.start, spec.states)
-    assert len(codec._PAIRS) == len(codec._PAIR_MASKS) == longest
+    assert len(logic._PAIRS) == hi - lo
 
 
 @pytest.mark.parametrize("mapped", [False, True])

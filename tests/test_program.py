@@ -359,6 +359,15 @@ def test_import_compiled_refuses_a_role_tag_that_contradicts_its_id(flip_machine
         import_compiled(json.dumps(doc))
 
 
+@pytest.mark.parametrize("mode", ["bogus", "", None, "Repaired"])
+def test_import_compiled_refuses_an_unknown_growth_mode(flip_machine, mode):
+    spec, _ = flip_machine
+    doc = json.loads(export_compiled(compile_program(spec)))
+    doc["growth_mode"] = mode
+    with pytest.raises(ValueError, match=f"growth mode {mode!r} is not one of"):
+        import_compiled(json.dumps(doc))
+
+
 def test_precondition_calls_the_builder_of_its_kind():
     states = ("q0", "q1")
     cases = [

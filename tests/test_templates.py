@@ -85,7 +85,7 @@ def test_class_tables_of_random_programs_hold_only_block_members(rng):
 def _assert_shapes_hold_only_groups(program):
     """Each shape lists, in agent order, exactly the agents under which two
     of the parent's actions share a class, each with those actions' offsets
-    grouped by class and the groups' masks."""
+    grouped by class."""
     assert _shapes(program)
     agents = list(program.relations)
     for kids, shape in _shapes(program).items():
@@ -97,7 +97,7 @@ def _assert_shapes_hold_only_groups(program):
                 groups.setdefault(program.relations[agent].class_of(a), []).append(offset)
             groups = [tuple(g) for g in groups.values() if len(g) > 1]
             if groups:
-                expected.append((agent, tuple((g, sum(1 << i for i in g)) for g in groups)))
+                expected.append((agent, tuple(groups)))
         assert list(shape) == expected
         assert all(groups for _, groups in shape)
 
@@ -181,10 +181,10 @@ def test_shapes_group_only_where_an_agent_can_group(monkeypatch):
         finally:
             kids_of_shape.pop()
 
-    def grouping(parents, kids, first, class_of, out, out_masks):
+    def grouping(parents, kids, first, class_of):
         if kids_of_shape:
             calls.append(sum(a in class_of for a in kids_of_shape[-1]))
-        return group(parents, kids, first, class_of, out, out_masks)
+        return group(parents, kids, first, class_of)
 
     monkeypatch.setattr(action, "_shape", shaping)
     monkeypatch.setattr(action, "_group", grouping)

@@ -320,10 +320,9 @@ def product_update(
                             out_masks.append(1 << c | 1 << d)
                     continue
             grouped.update(block)
-            for group in _group(block, kids, first, class_of):
-                group = tuple(map(slot.__getitem__, group))
-                out.append(group)
-                out_masks.append(_block_mask(group))
+            groups = _group(block, kids, first, slot, class_of)
+            out += groups
+            out_masks += map(_block_mask, groups)
     for parent in branching:
         shape = shapes.get(kids[parent])
         if shape is None:
@@ -517,25 +516,25 @@ def _shape(kids: tuple, action_classes: dict) -> tuple:
     shape = []
     for agent, class_of in action_classes.items():
         if sum(map(class_of.__contains__, kids)) > 1:
-            groups = _group((0,), (kids,), (0,), class_of)
+            groups = _group((0,), (kids,), (0,), range(len(kids)), class_of)
             if groups:
                 shape.append((agent, groups))
     return tuple(shape)
 
 
-def _group(parents, kids, first, class_of) -> tuple:
+def _group(parents, kids, first, slot, class_of) -> tuple:
     """Each set of two or more children of ``parents`` (one class) sharing
-    a program class, by the children's numbers parent by parent; an action
-    in no block of ``class_of`` is a class of its own."""
+    a program class, each child numbered by ``slot`` from its place parent
+    by parent; an action in no block of ``class_of`` is a class of its own."""
     groups: dict = {}
     for parent in parents:
         child = first[parent]
         for action in kids[parent]:
             key = class_of.get(action, action)
             if key in groups:
-                groups[key].append(child)
+                groups[key].append(slot[child])
             else:
-                groups[key] = [child]
+                groups[key] = [slot[child]]
             child += 1
     return tuple(tuple(group) for group in groups.values() if len(group) > 1)
 
@@ -582,18 +581,23 @@ def import_program(text: str) -> tuple[EpistemicProgram, dict]:
 
     Returns the program plus a dict with any ``roles`` (as family/detail
     dicts) and remaining metadata keys. Stored relations marked
-    ``closed: true`` are accepted; closing is idempotent. A relation pair
-    that is not a list of two ids is refused, and so is a postcondition
-    that is not a boolean.
+    ``closed: true`` are accepted; closing is idempotent. Refused: an action
+    id that is not a string or is listed twice, a precondition that is not
+    formula text, a relation that is not an object, a relation pair that is
+    not a list of two ids, and a postcondition that is not a boolean.
     """
     doc = json.loads(text)
     pre = {}
     post = {}
     roles = {}
-    actions = []
     for entry in doc["actions"]:
-        action = entry["id"]
-        actions.append(action)
+        action = entry.get("id")
+        if type(action) is not str:
+            raise ValueError(f"action id {action!r} is not a string")
+        if action in pre:
+            raise ValueError(f"action id {action!r} is listed twice")
+        if type(entry.get("pre")) is not str:
+            raise ValueError(f"action {action!r}: precondition {entry.get('pre')!r} is not formula text")
         pre[action] = parse_formula(entry["pre"])
         if "post" in entry:
             post[action] = entry["post"]  # build_program refuses a value that is not a boolean
@@ -601,11 +605,13 @@ def import_program(text: str) -> tuple[EpistemicProgram, dict]:
             roles[action] = dict(entry["role"])
     relation_pairs = {}
     for token, spec in doc["relations"].items():
+        if type(spec) is not dict:
+            raise ValueError(f"relation {token}: {spec!r} is not an object")
         for pair in spec["pairs"]:
             if type(pair) is not list or len(pair) != 2:
                 raise ValueError(f"relation {token}: pair {pair!r} is not two action ids")
         relation_pairs[Agent.from_token(token)] = tuple(map(tuple, spec["pairs"]))
-    program = build_program(actions, relation_pairs, pre, post, doc["designated"])
+    program = build_program(pre, relation_pairs, pre, post, doc["designated"])
     extras = {
         key: value
         for key, value in doc.items()

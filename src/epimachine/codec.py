@@ -39,6 +39,7 @@ from .logic import (
     TAPE_A,
     TAPE_B,
     Evaluator,
+    Plan,
     PointedKripkeModel,
     _alternate,
     _bits_of,
@@ -46,7 +47,6 @@ from .logic import (
     _mask_of,
     _mask_of_bits,
     _tape_blocks,
-    plan_of,
     state_agent,
     world_label,
 )
@@ -158,8 +158,8 @@ def _build_tape_model(
     blocks = _tape_blocks(cells, a)
     blocks[SYMBOL] = tuple(zip([j - lo for j in ones], range(cells, size - 1)))
     masks = {SYMBOL: [1 << x | 1 << y for x, y in blocks[SYMBOL]]}
-    for q in states:
-        agent, current = state_agent(q), q == state
+    for q, agent in _state_agents(states):
+        current = q == state
         blocks[agent] = ((head - lo, size - 1),) if current else ()
         masks[agent] = [1 << (head - lo) | 1 << (size - 1)] if current else []
     # p holds at the even positions: the cells where the a pairs start, and
@@ -167,6 +167,12 @@ def _build_tape_model(
     values = _alternate(cells, a) | _mask_of_bits(bytes([j % 2 == 0 for j in (*ones, head)])) << cells
     names = functools.partial(_tape_names, lo, hi, ones, head)
     return _Core(size, names, blocks, masks, values, -lo, (cells, a))
+
+
+@functools.lru_cache(maxsize=64)
+def _state_agents(states: tuple) -> tuple:
+    """Each state of ``states`` with its agent."""
+    return tuple(zip(states, map(state_agent, states)))
 
 
 def encode(
@@ -213,8 +219,7 @@ def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
     """
     ev = Evaluator.of(model)
     core = ev._core
-    fixed = (cell_formula(), leftmost_formula(), rightmost_formula(), digit_formula(1))
-    masks = ev.run(plan_of(fixed + tuple(map(head_formula, states))))
+    masks = ev.run(_decoder_plan(states))
     cell = masks[0]
     if ev._component is None:
         reading = _read(ev, cell, masks, states, str)  # a Malformed one is read again, named
@@ -223,6 +228,14 @@ def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
                 ev._component = ev._full
             return reading
     return _read(ev, cell & ev.component(), masks, states, lambda k: world_label(core.names[k]))
+
+
+@functools.lru_cache(maxsize=64)
+def _decoder_plan(states: tuple) -> Plan:
+    """The decoder's plan: the cell, end, digit-1 and head formulas of
+    ``states``, compiled once per state tuple."""
+    fixed = (cell_formula(), leftmost_formula(), rightmost_formula(), digit_formula(1))
+    return Plan(fixed + tuple(map(head_formula, states)))
 
 
 def _attached(core: _Core, cells: int) -> int:

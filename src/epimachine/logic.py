@@ -22,7 +22,8 @@ either by shifts. The checker reads the core and keeps satisfaction sets
 as integer bitmasks. It evaluates plans: a plan, compiled once for a tuple
 of root formulas, has one step per distinct node that is not a negation,
 with each chain of negations folded into its operand's parity, and runs as
-one flat pass per model whose masks are memoized on the formula nodes.
+one flat pass per model; the checker keeps each pass's slot masks and reads
+any node of the plan from them, negations included.
 """
 
 from __future__ import annotations
@@ -748,16 +749,16 @@ class Plan:
     not a negation (an ``And``, ``Box``, ``Atom`` or ``Top``), in dependency
     order. A step is (slot, operation, x, y): the slot is its position, and
     x and y are the slots of its operands (for a box, x is the agent). A
-    chain of ``Not``s folds to its parity: each operand and each root is a
-    (slot, negated) pair, and the step's operation absorbs the negation, so
-    a negation costs no step and no mask. A plan compares and hashes by
-    identity.
+    chain of ``Not``s folds to its parity: ``operands`` maps every node of
+    the DAG, negations included, to its (slot, negated) pair, and the step's
+    operation absorbs the negation, so a negation costs no step and no mask.
+    A plan compares and hashes by identity.
     """
 
-    __slots__ = ("roots", "outputs", "steps", "nodes", "agents")
+    __slots__ = ("roots", "outputs", "steps", "nodes", "agents", "operands")
 
     def __init__(self, roots: Iterable[Formula]):
-        operands: dict = {}  # node -> (slot, negated)
+        self.operands = operands = {}  # node -> (slot, negated)
         steps = []
         nodes = []  # the node of each slot
         agents: dict = {}  # the agents of the boxes, as keys
@@ -837,16 +838,15 @@ class Evaluator:
     world alone in its class satisfies [i]f iff it satisfies f); on a core
     with a tape ``chain``, which holds no masks of ``a`` and ``b``, a box
     over either clears its pairs by two shifts and one parity mask
-    (``_tape_lefts``). After a run the masks of the roots and of every node
-    inside are memoized on the formula node, which interning makes one
-    object per distinct formula, so ``check``, ``mask``, ``sat_set`` and
-    ``run`` answer from the memo when it holds what they ask. Otherwise
-    ``run`` runs every step of the plan, and the others a formula's one-root
-    plan. The named methods (``members``, ``sat_set``, ``check``) go through
-    the core's name list.
+    (``_tape_lefts``). The checker keeps each run, a plan with its slot
+    masks, and that is its memo: ``check``, ``mask``, ``sat_set`` and
+    ``run`` read a formula through a kept plan's ``operands``, negations
+    included, and a plan runs only when one of its roots is in no kept
+    run; a formula in none runs its one-root plan. The named methods
+    (``members``, ``sat_set``, ``check``) go through the core's name list.
     """
 
-    __slots__ = ("model", "_core", "_full", "_tape", "_masks", "_owners", "_position", "_component")
+    __slots__ = ("model", "_core", "_full", "_tape", "_runs", "_owners", "_position", "_component")
     _last: "Evaluator | None" = None
 
     def __init__(self, model: PointedKripkeModel):
@@ -854,7 +854,7 @@ class Evaluator:
         self._core = model._numbered()
         self._full = (1 << self._core.size) - 1
         self._tape = _tape_lefts(self._core.chain)
-        self._masks: dict = {}
+        self._runs: list = []  # (plan, its slot masks), in run order
         self._owners: dict = {}  # agent -> each world's block position, or None
         self._position = None  # world name -> number, built on first use
         self._component = None
@@ -883,9 +883,17 @@ class Evaluator:
         k = self._positions().get(world)
         return k is not None and mask >> k & 1 == 1
 
+    def _kept(self, formula: Formula) -> int | None:
+        """The mask of ``formula`` in the first kept run whose plan holds
+        it; None if none does."""
+        for plan, masks in self._runs:
+            hit = plan.operands.get(formula)
+            if hit is not None:
+                return masks[hit[0]] ^ self._full if hit[1] else masks[hit[0]]
+
     def mask(self, formula: Formula) -> int:
         """The satisfaction set of ``formula`` as a bitmask."""
-        hit = self._masks.get(formula)
+        hit = self._kept(formula)
         if hit is None:
             (hit,) = self._run(plan_of((formula,)))
         return hit
@@ -898,11 +906,17 @@ class Evaluator:
         return frozenset(self.members(self.mask(formula)))
 
     def run(self, plan: Plan) -> list:
-        """The masks of ``plan``'s roots, in root order."""
-        try:
-            return list(map(self._masks.__getitem__, plan.roots))
-        except KeyError:
-            return self._run(plan)
+        """The masks of ``plan``'s roots, in root order; ``plan`` runs only
+        when one of them is in no kept run."""
+        for kept, masks in self._runs:
+            if kept is plan:
+                full = self._full
+                return [masks[slot] ^ full if negated else masks[slot] for slot, negated in plan.outputs]
+        if self._runs:
+            roots = list(map(self._kept, plan.roots))
+            if None not in roots:
+                return roots
+        return self._run(plan)
 
     def _run(self, plan: Plan) -> list:
         full = self._full
@@ -936,10 +950,8 @@ class Evaluator:
                 masks[slot] = self._core.valuation
             else:
                 masks[slot] = full
-        self._masks.update(zip(plan.nodes, masks))
-        roots = [masks[slot] ^ full if negated else masks[slot] for slot, negated in plan.outputs]
-        self._masks.update(zip(plan.roots, roots))
-        return roots
+        self._runs.append((plan, masks))
+        return self.run(plan)
 
     def _owner(self, agent: Agent) -> list:
         """Each world's position among ``agent``'s blocks, None for a world

@@ -122,6 +122,7 @@ class FiniteConfiguration(Value):
             raise ValueError(f"head {head} outside window [{lo}, {hi}]")
         if tape.count(0) + tape.count(1) != len(tape):  # each symbol equals 0 or 1
             raise ValueError("tape symbols must be 0 or 1")
+        _set(self, "_ones", tuple(itertools.compress(range(lo, hi + 1), tape)))
 
     def symbol_at(self, position: int) -> int:
         lo, hi = self.window
@@ -133,8 +134,7 @@ class FiniteConfiguration(Value):
         return self.tape[self.head - self.window[0]]
 
     def one_positions(self) -> tuple[int, ...]:
-        lo = self.window[0]
-        return tuple(itertools.compress(range(lo, lo + len(self.tape)), self.tape))
+        return self._ones  # made once, by the constructor
 
     def tape_text(self) -> str:
         return "".join(str(s) for s in self.tape)

@@ -32,12 +32,24 @@ BRUTE_WORLDS = 300
 @pytest.mark.parametrize("reencode", [False, True])
 @pytest.mark.parametrize("mode", GROWTH_MODES)
 @pytest.mark.parametrize("name", CORPUS)
-def test_program_plan_matches_bruteforce_on_every_step_model(name, mode, reencode):
+def test_program_plan_matches_bruteforce_on_every_step_model(monkeypatch, name, mode, reencode):
+    """Every root, and every node of the plan's DAG, negations included,
+    read back from the one run of the plan."""
     spec, initial = load(name)
     compiled = compile_program(spec, mode)
     plan = compiled.program.plan
     assert set(plan.roots) == set(compiled.program.pre.values())
+    nodes = _dag_nodes(plan.roots)
+    assert any(type(node) is Not and node not in plan.roots for node in nodes)
     trace = emulate(spec, initial, 12, mode=mode, reencode=reencode, compiled=compiled)
+    runs = []
+    original = Evaluator._run
+
+    def counting_run(self, ran):
+        runs.append(ran)
+        return original(self, ran)
+
+    monkeypatch.setattr(Evaluator, "_run", counting_run)
     for entry in trace.entries:
         model = entry.model
         judged = model
@@ -48,6 +60,11 @@ def test_program_plan_matches_bruteforce_on_every_step_model(name, mode, reencod
         for root, mask in zip(plan.roots, ev.run(plan)):
             expected = brute_sat_set(judged, root, memo)
             assert frozenset(ev.members(mask)) & judged.worlds == expected, (entry.index, root)
+        for node in nodes:
+            expected = brute_sat_set(judged, node, memo)
+            assert frozenset(ev.members(ev.mask(node))) & judged.worlds == expected, (entry.index, node)
+        assert runs == [plan], entry.index
+        runs.clear()
 
 
 def _dag_nodes(roots):

@@ -3,13 +3,24 @@ CLI with exit status 2 and its message, malformed formula text is refused
 where it goes wrong, and the package's constructors and builders refuse
 inputs outside their domain with their own messages."""
 
+import json
 import re
 
 import pytest
 
-from epimachine.action import build_program
+from epimachine.action import build_program, export_program, import_program
 from epimachine.codec import _build_tape_model, encode, validate_encoding
-from epimachine.logic import TOP, FormulaSyntaxError, make_model, parse_formula, state_agent
+from epimachine.logic import (
+    P,
+    TAPE_A,
+    TAPE_B,
+    TOP,
+    FormulaSyntaxError,
+    make_model,
+    neg,
+    parse_formula,
+    state_agent,
+)
 from epimachine.machine import FiniteConfiguration, MachineSpec, parse_machine
 from epimachine.program import PreconditionKind, digit_formula
 from epimachine.cli import main
@@ -136,3 +147,48 @@ def test_dot_escapes_a_backslash_in_an_edge_label():
     text = export_dot(encode(initial, spec.states).model)
     edges = [line for line in text.splitlines() if line.endswith('[label="q:q\\\\x"];')]
     assert edges == ['  "c[0]" -- "h[0]" [label="q:q\\\\x"];']
+
+
+def _program_doc() -> dict:
+    """The exported document of a two-action program: ``go`` on p, ``stay``
+    on ~p, linked under ``a``."""
+    relations = {TAPE_A: (("go", "stay"),), TAPE_B: ()}
+    program = build_program(("go", "stay"), relations, {"go": P, "stay": neg(P)}, None, ("go",))
+    return json.loads(export_program(program))
+
+
+def test_an_imported_program_refuses_a_repeated_action_id():
+    """The last entry's precondition would win: ``go`` would import on ~p."""
+    doc = _program_doc()
+    doc["actions"].append({"id": "go", "pre": "~p"})
+    with pytest.raises(ValueError, match=re.escape("action id 'go' is listed twice")):
+        import_program(json.dumps(doc))
+
+
+@pytest.mark.parametrize("action", [7, None, ["go"]])
+def test_an_imported_program_refuses_an_action_id_that_is_not_a_string(action):
+    doc = _program_doc()
+    doc["actions"][0]["id"] = action
+    doc["designated"] = [action]
+    with pytest.raises(ValueError, match=re.escape(f"action id {action!r} is not a string")):
+        import_program(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", [None, 1, ["p"]])
+def test_an_imported_program_refuses_a_precondition_that_is_not_formula_text(text):
+    doc = _program_doc()
+    if text is None:
+        del doc["actions"][1]["pre"]
+    else:
+        doc["actions"][1]["pre"] = text
+    message = f"action 'stay': precondition {text!r} is not formula text"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        import_program(json.dumps(doc))
+
+
+@pytest.mark.parametrize("spec", [[["go", "stay"]], "pairs", None])
+def test_an_imported_program_refuses_a_relation_that_is_not_an_object(spec):
+    doc = _program_doc()
+    doc["relations"]["a"] = spec
+    with pytest.raises(ValueError, match=re.escape(f"relation a: {spec!r} is not an object")):
+        import_program(json.dumps(doc))

@@ -181,10 +181,10 @@ def test_shapes_group_only_where_an_agent_can_group(monkeypatch):
         finally:
             kids_of_shape.pop()
 
-    def grouping(parents, kids, first, class_of):
+    def grouping(parents, kids, first, slot, class_of):
         if kids_of_shape:
             calls.append(sum(a in class_of for a in kids_of_shape[-1]))
-        return group(parents, kids, first, class_of)
+        return group(parents, kids, first, slot, class_of)
 
     monkeypatch.setattr(action, "_shape", shaping)
     monkeypatch.setattr(action, "_group", grouping)

@@ -35,7 +35,6 @@ from .logic import (
     PointedKripkeModel,
     _alternate,
     _bits_of,
-    _block_mask,
     _Core,
     _mask_of_bits,
     _ranks,
@@ -218,7 +217,7 @@ def product_update(
     child's core keeps its own name order, built from the parent's without
     a sort of names. The child is its core alone, built from the
     parent's: each relation is built in one pass over the parent's blocks,
-    each child block with its mask, then a branching parent alone in its
+    each child block as a tuple, then a branching parent alone in its
     class adds the groups of the program's shape of its actions. Every
     child gets its number from the child-slot map, by its place parent by
     parent. The child's worlds are named when first read; an encoding
@@ -298,7 +297,7 @@ def product_update(
     # both children's actions share a class; any other block with a
     # branching parent is grouped by program class. A branching parent alone
     # in its class takes its groups from the program's shape of its actions.
-    blocks, block_masks, placed = {}, {}, {}
+    blocks, placed = {}, {}
     for agent, parent_blocks in core.blocks.items():
         if agent in tape_blocks:
             blocks[agent] = tape_blocks[agent]
@@ -306,7 +305,6 @@ def product_update(
         class_of = action_classes[agent]
         get = class_of.get
         out = blocks[agent] = []
-        out_masks = block_masks[agent] = []
         grouped = placed[agent] = set()
         for block in parent_blocks:
             if len(block) == 2:
@@ -315,14 +313,10 @@ def product_update(
                     if counts[p] and counts[q]:
                         (a,), (b,) = kids[p], kids[q]
                         if get(a, a) == get(b, b):
-                            c, d = slot[first[p]], slot[first[q]]
-                            out.append((c, d))
-                            out_masks.append(1 << c | 1 << d)
+                            out.append((slot[first[p]], slot[first[q]]))
                     continue
             grouped.update(block)
-            groups = _group(block, kids, first, slot, class_of)
-            out += groups
-            out_masks += map(_block_mask, groups)
+            out += _group(block, kids, first, slot, class_of)
     for parent in branching:
         shape = shapes.get(kids[parent])
         if shape is None:
@@ -331,15 +325,13 @@ def product_update(
         for agent, groups in shape:
             if agent not in tape_blocks and parent not in placed[agent]:
                 for offsets in groups:
-                    group = tuple(slot[c + k] for k in offsets)
-                    blocks[agent].append(group)
-                    block_masks[agent].append(_block_mask(group))
+                    blocks[agent].append(tuple(slot[c + k] for k in offsets))
     blocks = {agent: tuple(out) for agent, out in blocks.items()}
 
     inherited = map(_bits_of(core.valuation, n).__getitem__, parent_of)
     values = bytes(map(program.post.get, action_of, inherited))
     namer = functools.partial(_product_names, label, parent_of, action_of)
-    child = _Core(len(parent_of), namer, blocks, block_masks, _mask_of_bits(values), point, chain)
+    child = _Core(len(parent_of), namer, blocks, _mask_of_bits(values), point, chain)
     child.order = order
     return PointedKripkeModel._of_core(child)
 
@@ -581,16 +573,23 @@ def import_program(text: str) -> tuple[EpistemicProgram, dict]:
 
     Returns the program plus a dict with any ``roles`` (as family/detail
     dicts) and remaining metadata keys. Stored relations marked
-    ``closed: true`` are accepted; closing is idempotent. Refused: an action
-    id that is not a string or is listed twice, a precondition that is not
-    formula text, a relation that is not an object, a relation pair that is
-    not a list of two ids, and a postcondition that is not a boolean.
+    ``closed: true`` are accepted; closing is idempotent. Refused: a missing
+    or mistyped ``actions`` list, ``designated`` list or ``relations`` dict,
+    an action entry or role that is not an object, an action id that is not
+    a string or is listed twice, a precondition that is not formula text, a
+    relation that is not an object with a list of pairs, a relation pair
+    that is not a list of two ids, and a postcondition that is not a boolean.
     """
     doc = json.loads(text)
+    for key, kind in (("actions", list), ("designated", list), ("relations", dict)):
+        if type(doc.get(key)) is not kind:
+            raise ValueError(f"program document: {key} must be a {kind.__name__}, not {doc.get(key)!r}")
     pre = {}
     post = {}
     roles = {}
     for entry in doc["actions"]:
+        if type(entry) is not dict:
+            raise ValueError(f"action entry {entry!r} is not an object")
         action = entry.get("id")
         if type(action) is not str:
             raise ValueError(f"action id {action!r} is not a string")
@@ -602,11 +601,13 @@ def import_program(text: str) -> tuple[EpistemicProgram, dict]:
         if "post" in entry:
             post[action] = entry["post"]  # build_program refuses a value that is not a boolean
         if "role" in entry:
+            if type(entry["role"]) is not dict:
+                raise ValueError(f"action {action!r}: role {entry['role']!r} is not an object")
             roles[action] = dict(entry["role"])
     relation_pairs = {}
     for token, spec in doc["relations"].items():
-        if type(spec) is not dict:
-            raise ValueError(f"relation {token}: {spec!r} is not an object")
+        if type(spec) is not dict or type(spec.get("pairs")) is not list:
+            raise ValueError(f"relation {token}: {spec!r} is not an object with a list of pairs")
         for pair in spec["pairs"]:
             if type(pair) is not list or len(pair) != 2:
                 raise ValueError(f"relation {token}: pair {pair!r} is not two action ids")

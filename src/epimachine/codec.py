@@ -8,9 +8,8 @@ exactly at even absolute positions, which is what makes the cell chain
 walkable and the end cells recognizable. Every relation of an encoding
 pairs disjoint worlds, so the encoder writes the model's integer core down
 directly: the cells as its ``chain``, which states the tape relations, and
-the symbol and state blocks with their masks; the core names its worlds
-only when they are read. It refuses a cell span above ``MAX_SPAN`` before
-building anything.
+the symbol and state blocks; the core names its worlds only when they are
+read. It refuses a cell span above ``MAX_SPAN`` before building anything.
 
 Decoding works on the connected component of the designated world and
 anchors absolute position 0 at that world, on world numbers. The encoder
@@ -157,16 +156,13 @@ def _build_tape_model(
     a = lo % 2
     blocks = _tape_blocks(cells, a)
     blocks[SYMBOL] = tuple(zip([j - lo for j in ones], range(cells, size - 1)))
-    masks = {SYMBOL: [1 << x | 1 << y for x, y in blocks[SYMBOL]]}
     for q, agent in _state_agents(states):
-        current = q == state
-        blocks[agent] = ((head - lo, size - 1),) if current else ()
-        masks[agent] = [1 << (head - lo) | 1 << (size - 1)] if current else []
+        blocks[agent] = ((head - lo, size - 1),) if q == state else ()
     # p holds at the even positions: the cells where the a pairs start, and
     # the symbol and head worlds of even cells
     values = _alternate(cells, a) | _mask_of_bits(bytes([j % 2 == 0 for j in (*ones, head)])) << cells
     names = functools.partial(_tape_names, lo, hi, ones, head)
-    return _Core(size, names, blocks, masks, values, -lo, (cells, a))
+    return _Core(size, names, blocks, values, -lo, (cells, a))
 
 
 @functools.lru_cache(maxsize=64)
@@ -224,7 +220,7 @@ def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
     if ev._component is None:
         reading = _read(ev, cell, masks, states, str)  # a Malformed one is read again, named
         if not isinstance(reading, Malformed):
-            if _attached(core, cell) == ev._full:
+            if ev._attached(cell) == ev._full:
                 ev._component = ev._full
             return reading
     return _read(ev, cell & ev.component(), masks, states, lambda k: world_label(core.names[k]))
@@ -236,17 +232,6 @@ def _decoder_plan(states: tuple) -> Plan:
     ``states``, compiled once per state tuple."""
     fixed = (cell_formula(), leftmost_formula(), rightmost_formula(), digit_formula(1))
     return Plan(fixed + tuple(map(head_formula, states)))
-
-
-def _attached(core: _Core, cells: int) -> int:
-    """``cells`` and every block with a mask that meets them: on a chain
-    core, the symbol and state blocks."""
-    reach = cells
-    for masks in core.masks.values():
-        for mask in masks:
-            if mask & cells:
-                reach |= mask
-    return reach
 
 
 def _read(ev: Evaluator, cells: int, masks: list, states: tuple, label):

@@ -12,7 +12,7 @@ its universe. The public constructor checks a full partition in one pass;
 partitions the package builds itself skip the check. Relation indices are
 interned like formula nodes, so an index hashes by identity. Each model has
 one integer core: its worlds numbered 0..n-1 and named when first read,
-each relation's blocks as number tuples and masks, the valuation as one
+each relation's blocks as number tuples alone, the valuation as one
 mask. A model the encoder or the update builds is its core alone, and its
 worlds, relations, valuation and point are named from the core when first
 read; a model built from named parts numbers its worlds on first use. A
@@ -666,29 +666,23 @@ def _alternate(size: int, parity: int) -> int:
 
 class _Core:
     """A model's worlds numbered 0..size-1: their names in that order, each
-    relation's blocks as tuples of world numbers and as masks (bit k for
-    world k), the valuation as one mask and the point as a number. Whoever
-    builds a core gives each block's mask with it, in block order, and the
-    names either as a tuple or as a namer, a callable that makes the tuple
-    when ``names`` is first read. ``order``, once known, lists the world
-    numbers in ``world_sort_key`` order of their names. ``chain``, when
-    given, is (c, parity) for a core whose worlds 0..c-1 are a tape chain:
-    the ``a`` blocks are exactly the pairs (k, k + 1) with k % 2 == parity
-    and k + 1 < c, the ``b`` blocks the other such pairs, as
-    ``_tape_blocks`` gives them, and ``masks`` holds neither relation. A
-    core refers to no other model or core."""
+    relation's blocks as tuples of world numbers, its only statement, the
+    valuation as one mask (bit k for world k) and the point as a number.
+    Whoever builds a core gives the names either as a tuple or as a namer,
+    a callable that makes the tuple when ``names`` is first read. ``order``,
+    once known, lists the world numbers in ``world_sort_key`` order of their
+    names. ``chain``, when given, is (c, parity) for a core whose worlds
+    0..c-1 are a tape chain: the ``a`` blocks are exactly the pairs
+    (k, k + 1) with k % 2 == parity and k + 1 < c, the ``b`` blocks the
+    other such pairs, as ``_tape_blocks`` gives them. A core refers to no
+    other model or core."""
 
-    __slots__ = (
-        "size", "_names", "blocks", "masks", "valuation", "point", "order", "chain", "__weakref__"
-    )
+    __slots__ = ("size", "_names", "blocks", "valuation", "point", "order", "chain", "__weakref__")
 
-    def __init__(
-        self, size: int, names, blocks: Mapping, masks: Mapping, valuation: int, point: int, chain=None
-    ):
+    def __init__(self, size: int, names, blocks: Mapping, valuation: int, point: int, chain=None):
         self.size = size
         self._names = names
         self.blocks = blocks
-        self.masks = masks
         self.valuation = valuation
         self.point = point
         self.order = None
@@ -711,9 +705,8 @@ class _Core:
             agent: tuple(tuple(map(position, block)) for block in relation.blocks())
             for agent, relation in model.relations.items()
         }
-        masks = {agent: list(map(_block_mask, bs)) for agent, bs in blocks.items()}
         valuation = _mask_of(map(position, model.valuation), len(names))
-        return cls(len(names), names, blocks, masks, valuation, position(model.point))
+        return cls(len(names), names, blocks, valuation, position(model.point))
 
 
 def _ranks(order: list) -> list:
@@ -755,12 +748,11 @@ class Plan:
     A plan compares and hashes by identity.
     """
 
-    __slots__ = ("roots", "outputs", "steps", "nodes", "agents", "operands")
+    __slots__ = ("roots", "outputs", "steps", "agents", "operands")
 
     def __init__(self, roots: Iterable[Formula]):
         self.operands = operands = {}  # node -> (slot, negated)
         steps = []
-        nodes = []  # the node of each slot
         agents: dict = {}  # the agents of the boxes, as keys
         self.roots = tuple(roots)
         # depth first with an explicit stack, left operand before right, so
@@ -810,12 +802,10 @@ class Plan:
             stack.pop()
             slot = len(steps)
             steps.append((slot, *step))
-            nodes.append(formula)
             operands[formula] = (slot, False)
 
         self.outputs = tuple(map(operands.__getitem__, self.roots))
         self.steps = tuple(steps)
-        self.nodes = tuple(nodes)
         self.agents = tuple(agents)
 
 
@@ -835,9 +825,10 @@ class Evaluator:
     a mask. ``And`` costs one integer operation, a negation folded into an
     operand none, and ``Box`` removes from its inner set every class of the
     agent with more than one member that the inner set does not contain (a
-    world alone in its class satisfies [i]f iff it satisfies f); on a core
-    with a tape ``chain``, which holds no masks of ``a`` and ``b``, a box
-    over either clears its pairs by two shifts and one parity mask
+    world alone in its class satisfies [i]f iff it satisfies f), reading
+    each class as a mask that the checker makes in one pass at its first
+    run (``_block_masks``); on a core with a tape ``chain``, a box over
+    ``a`` or ``b`` clears its pairs by two shifts and one parity mask
     (``_tape_lefts``). The checker keeps each run, a plan with its slot
     masks, and that is its memo: ``check``, ``mask``, ``sat_set`` and
     ``run`` read a formula through a kept plan's ``operands``, negations
@@ -846,7 +837,9 @@ class Evaluator:
     (``members``, ``sat_set``, ``check``) go through the core's name list.
     """
 
-    __slots__ = ("model", "_core", "_full", "_tape", "_runs", "_owners", "_position", "_component")
+    __slots__ = (
+        "model", "_core", "_full", "_tape", "_runs", "_classes", "_owners", "_position", "_component"
+    )
     _last: "Evaluator | None" = None
 
     def __init__(self, model: PointedKripkeModel):
@@ -855,6 +848,7 @@ class Evaluator:
         self._full = (1 << self._core.size) - 1
         self._tape = _tape_lefts(self._core.chain)
         self._runs: list = []  # (plan, its slot masks), in run order
+        self._classes = None  # agent -> each block's mask, built at the first run
         self._owners: dict = {}  # agent -> each world's block position, or None
         self._position = None  # world name -> number, built on first use
         self._component = None
@@ -920,7 +914,7 @@ class Evaluator:
 
     def _run(self, plan: Plan) -> list:
         full = self._full
-        classes = self._core.masks
+        classes = self._block_masks()
         for agent in plan.agents:
             if agent not in self._core.blocks:
                 raise ValueError(f"unknown agent index {agent.token}")
@@ -952,6 +946,25 @@ class Evaluator:
                 masks[slot] = full
         self._runs.append((plan, masks))
         return self.run(plan)
+
+    def _block_masks(self) -> dict:
+        """Per relation that the core's ``chain`` does not state, the mask of
+        each of its blocks, in block order; made once per checker."""
+        if self._classes is None:
+            self._classes = {
+                agent: [1 << b[0] | 1 << b[1] if len(b) == 2 else _block_mask(b) for b in blocks]
+                for agent, blocks in self._core.blocks.items() if agent not in self._tape
+            }
+        return self._classes
+
+    def _attached(self, worlds: int) -> int:
+        """``worlds`` and every block of ``_block_masks`` that meets them: on
+        a chain core, the symbol and state blocks of the cells."""
+        reach = worlds
+        for mask in itertools.chain.from_iterable(self._block_masks().values()):
+            if mask & worlds:
+                reach |= mask
+        return reach
 
     def _owner(self, agent: Agent) -> list:
         """Each world's position among ``agent``'s blocks, None for a world

@@ -67,6 +67,7 @@ def _random_instance(rng):
 def test_identity_program_reproduces_model():
     model = _two_world_model()
     program = identity_program(model.agents)
+    assert program.agents == model.agents
     assert applicable_designated(model, program) == ["id"]
     updated = product_update(model, program)
     assert updated.worlds == {("u", "id"), ("v", "id")}

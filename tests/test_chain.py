@@ -23,7 +23,6 @@ from epimachine.logic import (
     P,
     PointedKripkeModel,
     _bits_of,
-    _block_mask,
     _Core,
     _tape_blocks,
     box,
@@ -76,28 +75,18 @@ MACHINES = [(name, cap, load(name)) for name, cap in RUNS] + [
 
 
 def _unchained(model):
-    """``model`` with its core's ``chain`` cleared, names and order kept;
-    the ``a`` and ``b`` masks the chain stood for are made from the blocks."""
+    """``model`` with its core's ``chain`` cleared, names and order kept."""
     core = model._numbered()
-    masks = dict(core.masks)
-    if core.chain is not None:
-        masks.update((agent, list(map(_block_mask, core.blocks[agent]))) for agent in (TAPE_A, TAPE_B))
-    copy = _Core(core.size, core._names, core.blocks, masks, core.valuation, core.point)
+    copy = _Core(core.size, core._names, core.blocks, core.valuation, core.point)
     copy.order = core.order
     return PointedKripkeModel._of_core(copy)
 
 
 def _by_names(model):
     """The model by world names: size, each relation's blocks, valuation,
-    point and the carried name order. Every block's mask is checked too,
-    but for a chain core's ``a`` and ``b``, which have none."""
+    point and the carried name order."""
     core = model._numbered()
     names = core.names
-    for agent, blocks in core.blocks.items():
-        if core.chain is not None and agent in (TAPE_A, TAPE_B):
-            assert agent not in core.masks
-        else:
-            assert list(core.masks[agent]) == list(map(_block_mask, blocks))
     blocks = {agent: {frozenset(map(names.__getitem__, b)) for b in bs} for agent, bs in core.blocks.items()}
     valuation = {name for name, bit in zip(names, _bits_of(core.valuation, core.size)) if bit}
     order = None if core.order is None else [names[k] for k in core.order]
@@ -165,7 +154,7 @@ def _bare_chain(rng):
     size = c + rng.randint(0, 2)
     names = tuple(f"w{k}" for k in range(size))
     valuation = rng.getrandbits(size)
-    core = _Core(size, names, _tape_blocks(c, parity), {}, valuation, rng.randrange(size), (c, parity))
+    core = _Core(size, names, _tape_blocks(c, parity), valuation, rng.randrange(size), (c, parity))
     return PointedKripkeModel._of_core(core)
 
 
@@ -221,7 +210,7 @@ def test_random_programs_update_a_bare_chain_alike_either_way():
 
 def _with(core, **parts):
     """A copy of ``core`` with some parts replaced, its ``chain`` kept."""
-    fields = {name: getattr(core, name) for name in ("size", "_names", "blocks", "masks", "valuation", "point")}
+    fields = {name: getattr(core, name) for name in ("size", "_names", "blocks", "valuation", "point")}
     fields.update(parts)
     return _Core(*fields.values(), chain=core.chain)
 
@@ -239,11 +228,9 @@ def _broken(rng, core, states):
     state = state_agent(rng.choice(states))
     other = rng.choice([k for k in range(c) if k != core.point])
     blocks = dict(core.blocks)
-    masks = dict(core.masks)
     blocks[state] = (*blocks[state], (other, core.size))
-    masks[state] = [*masks[state], 1 << other | 1 << core.size]
     names = (*core.names, "h[extra]")
-    yield _with(core, size=core.size + 1, _names=names, blocks=blocks, masks=masks)
+    yield _with(core, size=core.size + 1, _names=names, blocks=blocks)
 
 
 def test_a_broken_chain_core_decodes_to_the_reason_of_the_core_without_its_chain():
@@ -298,8 +285,8 @@ def test_an_intact_chain_core_is_read_without_a_walk(monkeypatch):
 def test_a_plain_run_at_the_span_limit_stays_a_chain():
     """A head at 9990 walking right, 3 plain steps: every step model is a
     chain core, the chains growing past ``2 * MAX_SPAN + 1`` cells, every
-    step agrees with the direct simulation, no step core holds masks of
-    ``a`` or ``b``, and no module keeps a table of masks."""
+    step agrees with the direct simulation, and no module keeps a table of
+    masks."""
     from epimachine import codec, logic
 
     lines = ["machine edge", "states r", "start r", "head 9990", "trans r 0 -> r 1 R", "trans r 1 -> r 1 R"]
@@ -308,6 +295,5 @@ def test_a_plain_run_at_the_span_limit_stays_a_chain():
     assert trace.stop_reason == "step-cap" and all(entry.match for entry in trace.entries)
     cores = [entry.model._numbered() for entry in trace.entries]
     assert [core.chain[0] for core in cores] == [19995, 19999, 20003, 20007] and 20007 > 2 * MAX_SPAN + 1
-    assert not any(TAPE_A in core.masks or TAPE_B in core.masks for core in cores)
     tables = [value for module in (codec, logic) for value in vars(module).values() if type(value) is list]
     assert not any(type(item) is int for table in tables for item in table)

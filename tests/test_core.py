@@ -1,11 +1,13 @@
 """The integer core a model is built with, by the encoder or the update,
 against the core rebuilt from the model's named parts: the program plan's
 root sets, the component, the decode and the stats at every step, and the
-update's core on random partition models. No step model is numbered twice,
-and none is named on a run. Every step's DOT and encoding verdict agree with
-its rebuild's, and ``validate_encoding`` refuses broken encodings with the
-reasons recorded in ``golden/validate_mutations.json``, which ``PYTHONPATH=src
-python tests/test_core.py`` writes anew."""
+update's core on random partition models. Every core states each relation
+as its blocks alone, and the checker's block masks are those blocks'. No
+step model is numbered twice, and none is named on a run. Every step's DOT
+and encoding verdict agree with its rebuild's, and ``validate_encoding``
+refuses broken encodings with the reasons recorded in
+``golden/validate_mutations.json``, which ``PYTHONPATH=src python
+tests/test_core.py`` writes anew."""
 
 import json
 import random
@@ -25,6 +27,7 @@ from epimachine.logic import (
     EquivRelation,
     Evaluator,
     PointedKripkeModel,
+    _block_mask,
     make_model,
     state_agent,
 )
@@ -92,6 +95,44 @@ def test_update_core_matches_the_core_of_its_named_parts(rng, fragments):
         assume(len(applicable_designated(model, program)) == 1)
         model = product_update(model, program)
         _assert_cores_agree(model, program)
+
+
+def _assert_blocks_alone(model):
+    """The core states each relation once, as its blocks; the checker's
+    block masks are those of every relation the ``chain`` does not state,
+    one per block in block order."""
+    core = model._numbered()
+    assert not hasattr(core, "masks")
+    stated = () if core.chain is None else (TAPE_A, TAPE_B)
+    masks = {agent: list(map(_block_mask, bs)) for agent, bs in core.blocks.items() if agent not in stated}
+    assert Evaluator.of(model)._block_masks() == masks
+
+
+@pytest.mark.parametrize("reencode", [False, True])
+@pytest.mark.parametrize("mode", GROWTH_MODES)
+@pytest.mark.parametrize("name, cap", RUNS)
+def test_every_step_core_states_its_relations_as_blocks_alone(name, cap, mode, reencode):
+    spec, initial = load(name)
+    if mode == "faithful" and not reencode:
+        cap = min(cap, FAITHFUL_PLAIN_CAP)
+    for entry in emulate(spec, initial, cap, mode=mode, reencode=reencode).entries:
+        _assert_blocks_alone(entry.model)
+        _assert_blocks_alone(_rebuilt(entry.model))
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3))
+@settings(max_examples=100)
+def test_a_random_model_and_its_updates_state_their_relations_as_blocks_alone(rng, fragments):
+    """The model is numbered from its named parts, its updates by the
+    update."""
+    model = random_partition_model(rng, AGENTS, fragments)
+    _, designate = _random_program(rng, "any")
+    program = designate([])
+    _assert_blocks_alone(model)
+    for _ in range(2):
+        assume(len(applicable_designated(model, program)) == 1)
+        model = product_update(model, program)
+        _assert_blocks_alone(model)
 
 
 def test_no_step_model_is_numbered_twice(monkeypatch):

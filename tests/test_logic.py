@@ -36,6 +36,7 @@ from epimachine.logic import (
     neg,
     parse_formula,
     restricted_model,
+    s5_defect,
     sat_set,
     state_agent,
 )
@@ -105,6 +106,7 @@ def test_closure_idempotent(pairs):
 
 def test_equivalence_defect_reports():
     assert equivalence_defect({("x", "x"), ("y", "y")}, {"x", "y"}) is None
+    assert equivalence_defect({("x", "x"), ("x", "q")}, {"x"}) == "pair member outside universe: (x, q)"
     assert "reflexive" in equivalence_defect(set(), {"x"})
     assert "symmetric" in equivalence_defect({("x", "x"), ("y", "y"), ("x", "y")}, {"x", "y"})
     full = {(u, v) for u in "xy" for v in "xy"} | {("z", "z"), ("y", "z"), ("z", "y")}
@@ -112,9 +114,19 @@ def test_equivalence_defect_reports():
     assert not is_equivalence(full, {"x", "y", "z"})
 
 
+def test_s5_defect_names_the_relation_of_overlapping_blocks():
+    """``from_blocks`` takes its blocks unchecked; two that overlap make a
+    relation that is not transitive."""
+    worlds = frozenset("xyz")
+    relation = EquivRelation.from_blocks(worlds, [{"x", "y"}, {"y", "z"}])
+    model = PointedKripkeModel(worlds, {TAPE_A: relation}, set(), "x")
+    assert s5_defect(model).startswith("relation a: not transitive at ")
+
+
 def test_relation_restriction():
     rel = closure({("x", "y"), ("y", "z")}, {"x", "y", "z", "w"})
     cut = rel.restricted({"x", "y", "w"})
+    assert cut == closure({("x", "y")}, {"x", "y", "w"}) and cut != cut.blocks()
     assert cut.class_of("x") == {"x", "y"}
     assert cut.class_of("w") == {"w"}
 
@@ -197,6 +209,12 @@ def test_eval_validates_inputs():
         eval_formula(model, "nope", TOP)
     with pytest.raises(ValueError):
         eval_formula(model, "w", box(TAPE_B, TOP))
+
+
+def test_the_printer_and_the_plan_refuse_what_is_not_a_formula():
+    for build in (format_formula, lambda root: Plan((root,))):
+        with pytest.raises(TypeError, match="not a formula: 7"):
+            build(7)
 
 
 def test_sat_set_not_top_is_empty():

@@ -50,9 +50,6 @@ def _assert_core_is_eager(core, lo, hi, ones, head, state, states):
     assert core.size == len(names)
     assert core.names == names
     assert {agent: list(bs) for agent, bs in core.blocks.items()} == blocks
-    # the chain states a and b, so only the other relations have masks
-    tape = (TAPE_A, TAPE_B)
-    assert core.masks == {agent: [1 << x | 1 << y for x, y in bs] for agent, bs in blocks.items() if agent not in tape}
     assert (core.valuation, core.point) == (valuation, -lo)
 
 

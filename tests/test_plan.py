@@ -92,7 +92,16 @@ def test_bb4_plan_has_one_step_per_distinct_node_that_is_not_a_negation():
 def test_negations_fold_into_operands():
     inner = Box(logic.TAPE_A, logic.P)
     plan = Plan((Not(Not(Not(inner))), inner, Not(logic.TOP)))
-    assert [type(node) for node in plan.nodes] == [Atom, Box, Top]
+    once, twice = Not(inner), Not(Not(inner))
+    assert plan.operands == {
+        logic.P: (0, False),
+        inner: (1, False),
+        once: (1, True),
+        twice: (1, False),
+        Not(twice): (1, True),
+        logic.TOP: (2, False),
+        Not(logic.TOP): (2, True),
+    }
     assert plan.outputs == ((1, True), (1, False), (2, True))
 
 

@@ -15,7 +15,9 @@ from epimachine.logic import (
     TAPE_A,
     TAPE_B,
     TOP,
+    EquivRelation,
     FormulaSyntaxError,
+    PointedKripkeModel,
     make_model,
     neg,
     parse_formula,
@@ -133,6 +135,19 @@ def test_validation_refuses_a_model_over_other_agents():
     assert validate_encoding(model, ("q",)) == (False, "agent universe mismatch")
 
 
+def test_validation_refuses_a_second_world_in_the_head_block():
+    """The head cell's state block holds the head world and one more."""
+    spec, initial = parse_machine("machine m\nstates q\nstart q\ninput 1 0\nhead 1\n")
+    model = encode(initial, spec.states).model
+    agent, extra = state_agent("q"), "h[extra]"
+    worlds = model.worlds | {extra}
+    blocks = {other: relation.blocks() for other, relation in model.relations.items()}
+    blocks[agent] = [block | {extra} for block in blocks[agent]]
+    relations = {other: EquivRelation.from_blocks(worlds, bs) for other, bs in blocks.items()}
+    model = PointedKripkeModel(worlds, relations, model.valuation, model.point)
+    assert validate_encoding(model, spec.states) == (False, "head attachment is not a single world")
+
+
 def test_a_model_refuses_an_unknown_agent():
     model = make_model({"w"}, {}, (), "w")
     with pytest.raises(ValueError, match="unknown agent index q:z"):
@@ -191,4 +206,56 @@ def test_an_imported_program_refuses_a_relation_that_is_not_an_object(spec):
     doc = _program_doc()
     doc["relations"]["a"] = spec
     with pytest.raises(ValueError, match=re.escape(f"relation a: {spec!r} is not an object")):
+        import_program(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key, kind", [("actions", "list"), ("designated", "list"), ("relations", "dict")])
+def test_an_imported_program_refuses_a_document_without_a_part(key, kind):
+    doc = _program_doc()
+    del doc[key]
+    with pytest.raises(ValueError, match=re.escape(f"program document: {key} must be a {kind}, not None")):
+        import_program(json.dumps(doc))
+
+
+def test_an_imported_program_refuses_actions_that_are_not_a_list():
+    doc = _program_doc()
+    doc["actions"] = {entry["id"]: entry for entry in doc["actions"]}
+    message = f"program document: actions must be a list, not {doc['actions']!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        import_program(json.dumps(doc))
+
+
+@pytest.mark.parametrize("entry", ["go", ["go", "p"], None])
+def test_an_imported_program_refuses_an_action_entry_that_is_not_an_object(entry):
+    doc = _program_doc()
+    doc["actions"][1] = entry
+    with pytest.raises(ValueError, match=re.escape(f"action entry {entry!r} is not an object")):
+        import_program(json.dumps(doc))
+
+
+@pytest.mark.parametrize("role", ["cell", ["cell", "mid"]])
+def test_an_imported_program_refuses_a_role_that_is_not_an_object(role):
+    doc = _program_doc()
+    doc["actions"][1]["role"] = role
+    with pytest.raises(ValueError, match=re.escape(f"action 'stay': role {role!r} is not an object")):
+        import_program(json.dumps(doc))
+
+
+def test_an_imported_program_refuses_designated_actions_that_are_not_a_list():
+    """A string would be read as its characters."""
+    doc = _program_doc()
+    doc["designated"] = "go"
+    with pytest.raises(ValueError, match=re.escape("program document: designated must be a list, not 'go'")):
+        import_program(json.dumps(doc))
+
+
+@pytest.mark.parametrize("pairs", [None, "go stay", {"go": "stay"}])
+def test_an_imported_program_refuses_a_relation_without_a_list_of_pairs(pairs):
+    doc = _program_doc()
+    if pairs is None:
+        del doc["relations"]["a"]["pairs"]
+    else:
+        doc["relations"]["a"]["pairs"] = pairs
+    message = f"relation a: {doc['relations']['a']!r} is not an object with a list of pairs"
+    with pytest.raises(ValueError, match=re.escape(message)):
         import_program(json.dumps(doc))

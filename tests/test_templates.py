@@ -31,7 +31,7 @@ def _copy(program):
 
 def _core(model):
     core = model._numbered()
-    return core.size, core.names, core.blocks, core.masks, core.valuation, core.point
+    return core.size, core.names, core.blocks, core.valuation, core.point
 
 
 def _shapes(program):

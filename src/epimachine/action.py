@@ -33,7 +33,6 @@ from .logic import (
     Formula,
     Plan,
     PointedKripkeModel,
-    _alternate,
     _bits_of,
     _Core,
     _mask_of_bits,
@@ -225,7 +224,8 @@ def product_update(
     other parent is named now.
 
     A parent with a tape ``chain`` whose children continue it, as
-    ``_chain_slots`` checks in bulk, gets a chain child: its slot map
+    ``_chain_slots`` checks in bulk (every interior tape child in one ``a``
+    class and one ``b`` class), gets a chain child: its slot map
     numbers the chain's children first, in tape order, and every other
     child after them, parent by parent. The chain states its ``a`` and
     ``b`` relations, so only the other relations are built. Any other
@@ -350,11 +350,14 @@ def _chain_slots(
     They continue it when, checked in bulk on the root masks: each interior
     cell 1..c-2 has exactly one child by a tape action, no tape action
     applies off the chain, no other action applies at two neighbouring
-    cells, the tape children of two interior neighbours share the class of
-    their pair's agent, and each end's tape children form the path
-    ``_end_path`` gives. The product relations ``a`` and ``b`` then pair
-    exactly the neighbours of the child chain: the left end's path
+    cells, the interior cells' tape children all have one ``a`` class and
+    one ``b`` class, and each end's tape children form the path
+    ``_end_path`` gives from that pair's class under the agent that links
+    the end to its neighbour. The product relations ``a`` and ``b`` then
+    pair exactly the neighbours of the child chain: the left end's path
     outward-in, the interior cells' tape children, the right end's path.
+    Any other children are numbered parent by parent, which is always
+    right.
     """
     c, parity = chain
     if c < 3:
@@ -362,7 +365,7 @@ def _chain_slots(
     cells = (1 << c) - 1
     interior = cells ^ 1 ^ 1 << c - 1
     covered = 0
-    inners = []  # the a and b classes of each root's interior tape children, and their cells
+    pair = None  # the a and b classes every interior tape child shares
     roots = tape.roots
     for i in itertools.compress(itertools.count(), masks):
         mask = masks[i]
@@ -372,39 +375,24 @@ def _chain_slots(
                 return None
             inner = mask & interior
             if inner:
-                if count > 1 or inner & covered:
+                if count > 1 or inner & covered or pair is not None and keys != pair:
                     return None
                 covered |= inner
-                inners.append((keys, inner))
+                pair = keys
         if others:
             on = mask & cells
             if on & on >> 1:
                 return None
     if covered != interior:
         return None
-    if any(keys != inners[0][0] for keys, _ in inners):
-        # under each agent, no pair (k, k + 1) of two interior cells may
-        # hold two classes
-        pairs = interior & interior >> 1
-        for agent in (0, 1):
-            by_class: dict = {}
-            for keys, inner in inners:
-                by_class[keys[agent]] = by_class.get(keys[agent], 0) | inner
-            lefts = _alternate(c, (parity + agent) % 2) & pairs
-            for members in by_class.values():
-                if (members ^ members >> 1) & lefts:
-                    return None
 
     # each end's path, linked to its neighbour by the agent of their pair
-    places = tape.places
     ends = []
-    for end, near, link in ((0, 1, parity), (c - 1, c - 2, (parity + c) % 2)):
-        neighbour = kids[near]
-        (neighbour,) = neighbour if len(neighbour) == 1 else filter(places.__contains__, neighbour)
-        key = (kids[end], link, tape.tables[link].get(neighbour, neighbour))
+    for end, link in ((0, parity), (c - 1, (parity + c) % 2)):
+        key = (kids[end], link, pair[link])
         path = tape.paths.get(key, ())
         if path == ():
-            path = tape.paths[key] = _end_path(kids[end], tape, link, key[2])
+            path = tape.paths[key] = _end_path(kids[end], tape, link, pair[link])
         if path is None:
             return None
         ends.append(path)
@@ -430,7 +418,7 @@ def _chain_slots(
         elif cell == c - 1:
             start, step, where = c - 1 + shift, 1, right
         else:
-            start, step, where = cell + shift, 0, places
+            start, step, where = cell + shift, 0, tape.places
         i = first[cell]
         for action in kids[cell]:
             place = where.get(action)
@@ -573,14 +561,18 @@ def import_program(text: str) -> tuple[EpistemicProgram, dict]:
 
     Returns the program plus a dict with any ``roles`` (as family/detail
     dicts) and remaining metadata keys. Stored relations marked
-    ``closed: true`` are accepted; closing is idempotent. Refused: a missing
-    or mistyped ``actions`` list, ``designated`` list or ``relations`` dict,
-    an action entry or role that is not an object, an action id that is not
-    a string or is listed twice, a precondition that is not formula text, a
-    relation that is not an object with a list of pairs, a relation pair
-    that is not a list of two ids, and a postcondition that is not a boolean.
+    ``closed: true`` are accepted; closing is idempotent. Refused: a document
+    that is not an object, a missing or mistyped ``actions`` list,
+    ``designated`` list or ``relations`` dict, an action entry or role that
+    is not an object, an action id that is not a string or is listed twice,
+    a precondition that is not formula text, a relation that is not an
+    object with a list of pairs, a relation pair that is not a list of two
+    string ids, a designated entry that is not a string, and a
+    postcondition that is not a boolean.
     """
     doc = json.loads(text)
+    if type(doc) is not dict:
+        raise ValueError(f"program document {doc!r} is not an object")
     for key, kind in (("actions", list), ("designated", list), ("relations", dict)):
         if type(doc.get(key)) is not kind:
             raise ValueError(f"program document: {key} must be a {kind.__name__}, not {doc.get(key)!r}")
@@ -609,9 +601,12 @@ def import_program(text: str) -> tuple[EpistemicProgram, dict]:
         if type(spec) is not dict or type(spec.get("pairs")) is not list:
             raise ValueError(f"relation {token}: {spec!r} is not an object with a list of pairs")
         for pair in spec["pairs"]:
-            if type(pair) is not list or len(pair) != 2:
+            if type(pair) is not list or len(pair) != 2 or not all(type(x) is str for x in pair):
                 raise ValueError(f"relation {token}: pair {pair!r} is not two action ids")
         relation_pairs[Agent.from_token(token)] = tuple(map(tuple, spec["pairs"]))
+    for action in doc["designated"]:
+        if type(action) is not str:
+            raise ValueError(f"designated entry {action!r} is not an action id")
     program = build_program(pre, relation_pairs, pre, post, doc["designated"])
     extras = {
         key: value

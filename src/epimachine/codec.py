@@ -12,18 +12,18 @@ the symbol and state blocks; the core names its worlds only when they are
 read. It refuses a cell span above ``MAX_SPAN`` before building anything.
 
 Decoding works on the connected component of the designated world and
-anchors absolute position 0 at that world, on world numbers. The encoder
-numbers the cells first, in tape order, and keeps them as the core's
-``chain``, as does the update of a chain whose children continue it; on
-such a core the tape is read by a few mask comparisons, and only a core
-that fails them, or has no chain, has its cells walked one by one. When
-every cell world lies on one tape chain through the point and every other
-world hangs on a cell, the component is the whole model and is taken from
-the chain; otherwise the model's shared checker walks it. Either way it is
-found once per model, so decode and the runner's statistics share it;
-``validate_encoding`` maps it onto the core the encoder would build. Under
-the compiled program the new point is always the descendant of the previous
-position-0 cell, so absolute head positions survive updates exactly.
+anchors absolute position 0 at that world, on world numbers. The model's
+shared checker finds that component once (``Evaluator.component``), so
+decode, ``validate_encoding`` and the runner's statistics share it, and
+decode reads its cells as a tape once. The encoder numbers the cells
+first, in tape order, and keeps them as the core's ``chain``, as does the
+update of a chain whose children continue it; on such a core the checker
+takes the component from the chain, and the tape is read by a few mask
+comparisons. Only a core that fails them, or has no chain, has its cells
+walked one by one. ``validate_encoding`` maps the component onto the core
+the encoder would build. Under the compiled program the new point is always
+the descendant of the previous position-0 cell, so absolute head positions
+survive updates exactly.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class EncodedModel(Value):
     def cells(self) -> dict:
         core = self.model._numbered()
         lo = -core.point  # the point is cell 0
-        return dict(zip(range(lo, lo + _cell_count(core)), core.names))
+        return dict(zip(range(lo, lo + core.chain[0]), core.names))
 
     @functools.cached_property
     def symbols(self) -> dict:
@@ -107,12 +107,6 @@ class EncodedModel(Value):
     @functools.cached_property
     def head_world(self) -> str:
         return self.model._numbered().names[-1]
-
-
-def _cell_count(core: _Core) -> int:
-    """The cells of an encoding's core: every world but the symbol worlds
-    and the head world."""
-    return core.size - len(core.blocks[SYMBOL]) - 1
 
 
 def ceil_even(window: tuple[int, int]) -> int:
@@ -201,29 +195,12 @@ def component_of_point(model: PointedKripkeModel) -> frozenset:
 
 
 def _analyze(model: PointedKripkeModel, states: tuple[str, ...]):
-    """Read the point's component as a tape: Malformed, HALTED, or the
-    decoded configuration and the chain cells' world numbers in chain
-    order.
-
-    A checker that has not found the component yet first reads every cell
-    world as the tape. A reading that holds puts every cell on one chain
-    through the point, so inside its component: the component's cells are
-    the cells read, and no walk is needed. If moreover every other world
-    shares a block with a cell, every world is reachable, and the checker
-    keeps that as the component. Otherwise, after a failed reading, the
-    component is walked and its cells are read.
-    """
+    """Read the point's component, which the model's shared checker finds,
+    as a tape: Malformed, HALTED, or the decoded configuration and the
+    chain cells' world numbers in chain order."""
     ev = Evaluator.of(model)
-    core = ev._core
     masks = ev.run(_decoder_plan(states))
-    cell = masks[0]
-    if ev._component is None:
-        reading = _read(ev, cell, masks, states, str)  # a Malformed one is read again, named
-        if not isinstance(reading, Malformed):
-            if ev._attached(cell) == ev._full:
-                ev._component = ev._full
-            return reading
-    return _read(ev, cell & ev.component(), masks, states, lambda k: world_label(core.names[k]))
+    return _read(ev, masks[0] & ev.component(), masks, states)
 
 
 @functools.lru_cache(maxsize=64)
@@ -234,16 +211,16 @@ def _decoder_plan(states: tuple) -> Plan:
     return Plan(fixed + tuple(map(head_formula, states)))
 
 
-def _read(ev: Evaluator, cells: int, masks: list, states: tuple, label):
+def _read(ev: Evaluator, cells: int, masks: list, states: tuple):
     """Read ``cells`` as a tape, given the decoder's root ``masks``: Malformed,
-    HALTED, or the configuration and the chain. ``label`` words a world
-    number in a Malformed reason.
+    HALTED, or the configuration and the chain. A Malformed reason names
+    the world where the reading fails.
 
     On a core with a tape ``chain`` of c cells the tape is read by mask
     comparisons: the cells are exactly 0..c-1, the ends are 0 and c-1, and
     the cells hold p exactly where the ``a`` pairs start, so the walk below
-    would go 0, 1, .., c-1. When a comparison fails the chain is walked,
-    and the walk words any Malformed reason."""
+    would go 0, 1, .., c-1. When a comparison fails the cells are walked
+    one by one, and that walk words any Malformed reason."""
     core = ev._core
     _, leftmost, rightmost, one, *heads = masks
     if not cells >> core.point & 1:
@@ -280,13 +257,13 @@ def _read(ev: Evaluator, cells: int, masks: list, states: tuple, label):
         i = owner[current]
         block = () if i is None else blocks[i]
         if len(block) != 2:
-            return Malformed(f"alternation violated at {label(current)}")
+            return Malformed(f"alternation violated at {world_label(core.names[current])}")
         first, second = block
         nxt = second if first == current else first
         if not is_cell[nxt]:
-            return Malformed(f"tape relation leaves the cells at {label(current)}")
+            return Malformed(f"tape relation leaves the cells at {world_label(core.names[current])}")
         if visited[nxt]:
-            return Malformed(f"cell chain cycles at {label(nxt)}")
+            return Malformed(f"cell chain cycles at {world_label(core.names[nxt])}")
         chain.append(nxt)
         visited[nxt] = 1
         current = nxt

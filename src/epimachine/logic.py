@@ -344,13 +344,15 @@ def _parse_agent(text, pos, close):
 
 def format_formula(formula: Formula) -> str:
     """Render a formula in the parse grammar; ``parse_formula`` inverts this.
-    Pieces wait on an explicit stack, so a formula may nest to any depth."""
+    Pieces wait on an explicit stack, so a formula may nest to any depth;
+    text waits as a 1-tuple, so a ``str`` in place of a formula is refused
+    like any other non-formula."""
     out = []
-    stack = [formula]  # text to write and formulas to render, last first
+    stack = [formula]  # (text,) to write and formulas to render, last first
     while stack:
         item = stack.pop()
-        if type(item) is str:
-            out.append(item)
+        if type(item) is tuple:
+            out.append(item[0])
             continue
         if isinstance(item, Top):
             out.append("T")
@@ -359,15 +361,15 @@ def format_formula(formula: Formula) -> str:
         elif isinstance(item, Not):
             sub = item.sub
             if isinstance(sub, Box) and isinstance(sub.sub, Not):
-                stack += sub.sub.sub, f"<{sub.agent.token}>"
+                stack += sub.sub.sub, (f"<{sub.agent.token}>",)
             elif isinstance(sub, And) and isinstance(sub.left, Not) and isinstance(sub.right, Not):
-                stack += ")", sub.right.sub, " | ", sub.left.sub, "("
+                stack += (")",), sub.right.sub, (" | ",), sub.left.sub, ("(",)
             else:
-                stack += sub, "~"
+                stack += sub, ("~",)
         elif isinstance(item, And):
-            stack += ")", item.right, " & ", item.left, "("
+            stack += (")",), item.right, (" & ",), item.left, ("(",)
         elif isinstance(item, Box):
-            stack += item.sub, f"[{item.agent.token}]"
+            stack += item.sub, (f"[{item.agent.token}]",)
         else:
             raise TypeError(f"not a formula: {item!r}")
     return "".join(out)
@@ -835,6 +837,10 @@ class Evaluator:
     included, and a plan runs only when one of its roots is in no kept
     run; a formula in none runs its one-root plan. The named methods
     (``members``, ``sat_set``, ``check``) go through the core's name list.
+    The checker is the one finder of the point's component (``component``),
+    which decode, validation and the runner's stats read: on a core whose
+    tape chain holds the point it is taken from the chain, and any other
+    core is walked.
     """
 
     __slots__ = (
@@ -979,29 +985,41 @@ class Evaluator:
 
     def component(self) -> int:
         """The mask of the worlds reachable from the point under the union of
-        all relations, walked once per checker on world numbers; the walk
-        enters each class of two or more worlds at most once."""
+        all relations, found once per checker. On a core whose ``chain``
+        holds the point it is the chain and the blocks that meet it, when
+        those blocks meet no other world: the chain's ``a`` and ``b`` blocks
+        are its pairs, so the chain is connected and no world off it is in
+        one. Any other core is walked (``_walk``)."""
         if self._component is None:
-            core = self._core
-            # per relation with a block: its owner list, and its blocks with
-            # each entered one replaced by an empty tuple
-            relations = [
-                (self._owner(agent), list(blocks)) for agent, blocks in core.blocks.items() if blocks
-            ]
-            seen = bytearray(core.size)
-            seen[core.point] = 1
-            frontier = [core.point]
-            for world in frontier:
-                for owner, blocks in relations:
-                    i = owner[world]
-                    if i is not None:
-                        for other in blocks[i]:
-                            if not seen[other]:
-                                seen[other] = 1
-                                frontier.append(other)
-                        blocks[i] = ()
-            self._component = _mask_of_bits(seen)
+            chain = self._core.chain
+            if chain is not None and self._core.point < chain[0]:
+                reach = self._attached((1 << chain[0]) - 1)
+                if reach == self._full or self._attached(reach) == reach:
+                    self._component = reach
+                    return reach
+            self._component = self._walk()
         return self._component
+
+    def _walk(self) -> int:
+        """The point's component walked on world numbers; the walk enters
+        each class of two or more worlds at most once."""
+        core = self._core
+        # per relation with a block: its owner list, and its blocks with
+        # each entered one replaced by an empty tuple
+        relations = [(self._owner(agent), list(blocks)) for agent, blocks in core.blocks.items() if blocks]
+        seen = bytearray(core.size)
+        seen[core.point] = 1
+        frontier = [core.point]
+        for world in frontier:
+            for owner, blocks in relations:
+                i = owner[world]
+                if i is not None:
+                    for other in blocks[i]:
+                        if not seen[other]:
+                            seen[other] = 1
+                            frontier.append(other)
+                    blocks[i] = ()
+        return _mask_of_bits(seen)
 
 
 # The cell pairs (k, k + 1) of every chain core, shared by the encoder and

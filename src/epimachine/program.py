@@ -397,11 +397,15 @@ def export_compiled(compiled: CompiledProgram) -> str:
 def import_compiled(text: str) -> CompiledProgram:
     """Inverse of ``export_compiled``. Role tags may be left out; a tag
     that disagrees with its action id is refused, and so is a growth mode
-    not in ``GROWTH_MODES``."""
+    that is missing or not in ``GROWTH_MODES`` and a machine name that is
+    missing or not a string."""
     program, extras = import_program(text)
     for action, tag in extras["roles"].items():
         if ActionRole(tag.get("family"), tag.get("detail", "")) != ActionRole.of(action):
             raise ValueError(f"role tag {tag} of action {action!r} disagrees with its id")
-    if extras["growth_mode"] not in GROWTH_MODES:
-        raise ValueError(f"growth mode {extras['growth_mode']!r} is not one of {GROWTH_MODES}")
-    return CompiledProgram(program, extras["growth_mode"], extras["machine"])
+    mode, machine = extras.get("growth_mode"), extras.get("machine")
+    if mode not in GROWTH_MODES:
+        raise ValueError(f"growth mode {mode!r} is not one of {GROWTH_MODES}")
+    if type(machine) is not str:
+        raise ValueError(f"machine name {machine!r} is not a string")
+    return CompiledProgram(program, mode, machine)

@@ -19,9 +19,10 @@ A run reuses the program ``compile_program`` keeps on the spec, and reads
 the stats of each encoding off the encoder (``encoded_stats``). Every
 model of a ``repaired`` run is a tape chain (``_Core.chain``): the encoder
 numbers the cells first, in tape order, and each update keeps them first.
-So decode reads the tape by mask comparisons and takes the component from
-the chain, and the component is walked, once, only when a world lies
-outside it or the cells do not read as a tape.
+So the checker takes each component from the chain, which decode and the
+stats share, and decode reads the tape by mask comparisons; a component is
+walked, once, only on a core without a chain through the point, or whose
+chain's blocks meet a world outside them.
 Each kept model runs one plan, the program's, and decode and stats read
 their formulas from that run; a product model about to be re-encoded runs
 only the decoder's plan. Every model is its integer core, built by the
@@ -53,7 +54,7 @@ from pathlib import Path
 
 from ._value import Value, _set
 from .action import DeterminismViolation, applicable_designated, product_update
-from .codec import DEFAULT_PADDING, EncodedModel, Malformed, _cell_count, decode, encode
+from .codec import DEFAULT_PADDING, EncodedModel, Malformed, decode, encode
 from .logic import Evaluator, PointedKripkeModel, _bits_of, _ranks, world_label, world_sort_key
 from .machine import (
     HALTED,
@@ -87,9 +88,9 @@ def model_stats(model: PointedKripkeModel) -> ModelStats:
 
 def encoded_stats(encoded: EncodedModel) -> ModelStats:
     """``model_stats`` of an encoding, which is one component by
-    construction."""
+    construction, its cells its core's ``chain``."""
     core = encoded.model._numbered()
-    return ModelStats(core.size, core.size, _cell_count(core), 0)
+    return ModelStats(core.size, core.size, core.chain[0], 0)
 
 
 class StepEntry(Value):

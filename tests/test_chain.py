@@ -208,6 +208,32 @@ def test_random_programs_update_a_bare_chain_alike_either_way():
     assert chained >= 50 and unchained >= 50
 
 
+def test_interior_tape_children_in_two_classes_are_numbered_parent_by_parent():
+    """A 4-cell chain whose tape actions ``e0``, ``u``, ``v``, ``e3`` each
+    apply at one cell, with ``e0 ~a u``, ``u ~b v`` and ``v ~a e3``: the
+    interior children ``u`` and ``v`` lie in two ``a`` classes, so the
+    update numbers the children parent by parent and gives no chain, and
+    the child is the one the parent without its chain has."""
+    names = tuple(f"w{k}" for k in range(4))
+    core = _Core(4, names, _tape_blocks(4, 0), 0b0101, 0, (4, 0))  # p at cells 0 and 2
+    model = PointedKripkeModel._of_core(core)
+    # cells 0 and 3 are alone in their b classes, and p tells them apart
+    pre = {
+        "e0": conj(P, box(TAPE_B, P)),
+        "u": conj(neg(P), neg(box(TAPE_B, neg(P)))),
+        "v": conj(P, neg(box(TAPE_B, P))),
+        "e3": conj(neg(P), box(TAPE_B, neg(P))),
+    }
+    pairs = {TAPE_A: [("e0", "u"), ("v", "e3")], TAPE_B: [("u", "v")]}
+    program = build_program(pre, pairs, pre, None, ("e0",))
+    child = product_update(model, program)
+    plain = product_update(_unchained(model), program)
+    assert child._numbered().names == plain._numbered().names == tuple(zip(names, ("e0", "u", "v", "e3")))
+    assert child._numbered().chain is None
+    assert child._numbered().blocks == plain._numbered().blocks
+    assert _by_names(child) == _by_names(plain)
+
+
 def _with(core, **parts):
     """A copy of ``core`` with some parts replaced, its ``chain`` kept."""
     fields = {name: getattr(core, name) for name in ("size", "_names", "blocks", "valuation", "point")}

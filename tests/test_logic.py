@@ -217,6 +217,21 @@ def test_the_printer_and_the_plan_refuse_what_is_not_a_formula():
             build(7)
 
 
+def test_the_printer_refuses_text_in_place_of_a_formula():
+    with pytest.raises(TypeError, match="not a formula: 'p'"):
+        format_formula("p")
+
+
+def test_the_printer_refuses_text_under_a_negation():
+    with pytest.raises(TypeError, match="not a formula: 'p'"):
+        format_formula(Not("p"))
+
+
+def test_the_printer_refuses_text_as_an_operand():
+    with pytest.raises(TypeError, match="not a formula: 'q'"):
+        format_formula(And(TOP, "q"))
+
+
 def test_sat_set_not_top_is_empty():
     model = make_model({"u", "v"}, {TAPE_A: {("u", "v")}}, {"u"}, "u")
     assert sat_set(model, neg(TOP)) == frozenset()

@@ -24,7 +24,13 @@ from epimachine.logic import (
     state_agent,
 )
 from epimachine.machine import FiniteConfiguration, MachineSpec, parse_machine
-from epimachine.program import PreconditionKind, digit_formula
+from epimachine.program import (
+    PreconditionKind,
+    compile_program,
+    digit_formula,
+    export_compiled,
+    import_compiled,
+)
 from epimachine.cli import main
 from epimachine.runner import export_dot
 
@@ -259,3 +265,47 @@ def test_an_imported_program_refuses_a_relation_without_a_list_of_pairs(pairs):
     message = f"relation a: {doc['relations']['a']!r} is not an object with a list of pairs"
     with pytest.raises(ValueError, match=re.escape(message)):
         import_program(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc", [[], "program", 7, None])
+def test_an_imported_program_refuses_a_document_that_is_not_an_object(doc):
+    with pytest.raises(ValueError, match=re.escape(f"program document {doc!r} is not an object")):
+        import_program(json.dumps(doc))
+
+
+def test_an_imported_program_refuses_a_relation_pair_member_that_is_not_a_string():
+    """A list member would make the pair unhashable."""
+    doc = _program_doc()
+    doc["relations"]["a"]["pairs"] = [["go", ["b"]]]
+    with pytest.raises(ValueError, match=re.escape("relation a: pair ['go', ['b']] is not two action ids")):
+        import_program(json.dumps(doc))
+
+
+def test_an_imported_program_refuses_a_designated_entry_that_is_not_a_string():
+    """A list entry would be unhashable."""
+    doc = _program_doc()
+    doc["designated"] = ["go", ["stay"]]
+    with pytest.raises(ValueError, match=re.escape("designated entry ['stay'] is not an action id")):
+        import_program(json.dumps(doc))
+
+
+def _compiled_doc() -> dict:
+    spec, _ = parse_machine(HEAD + "trans q 0 -> q 1 R\n")
+    return json.loads(export_compiled(compile_program(spec)))
+
+
+@pytest.mark.parametrize(
+    "key, message", [("growth_mode", "growth mode None"), ("machine", "machine name None")]
+)
+def test_an_imported_compiled_program_refuses_a_document_without_its_mode_or_machine(key, message):
+    doc = _compiled_doc()
+    del doc[key]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        import_compiled(json.dumps(doc))
+
+
+def test_an_imported_compiled_program_refuses_a_machine_name_that_is_not_a_string():
+    doc = _compiled_doc()
+    doc["machine"] = 7
+    with pytest.raises(ValueError, match=re.escape("machine name 7 is not a string")):
+        import_compiled(json.dumps(doc))

@@ -447,18 +447,18 @@ def test_dot_files_do_not_depend_on_hash_seed(tmp_path):
 
 def test_emulate_walks_each_component_once(monkeypatch):
     walks = 0
-    original = Evaluator.component
+    original = Evaluator._walk
 
-    def counting_component(self):
+    def counting_walk(self):
         nonlocal walks
-        walks += self._component is None
+        walks += 1
         return original(self)
 
-    monkeypatch.setattr(Evaluator, "component", counting_component)
+    monkeypatch.setattr(Evaluator, "_walk", counting_walk)
     spec, initial = load("march")
     emulate(spec, initial, 10)
-    # decode reads each component off its cell chain, and the stats read
-    # the component decode found: no model is walked
+    # the checker takes each component from the cell chain, and decode and
+    # the stats share it: no model is walked
     assert walks == 0
 
 
@@ -675,19 +675,19 @@ def test_encoder_stats_equal_model_stats_on_random_configurations():
 
 def test_reencoded_steps_walk_one_component_each(monkeypatch):
     walks = 0
-    original = Evaluator.component
+    original = Evaluator._walk
 
-    def counting_component(self):
+    def counting_walk(self):
         nonlocal walks
-        walks += self._component is None
+        walks += 1
         return original(self)
 
-    monkeypatch.setattr(Evaluator, "component", counting_component)
+    monkeypatch.setattr(Evaluator, "_walk", counting_walk)
     spec, initial = load("bb2")
     trace = emulate(spec, initial, 50, reencode=True)
     assert len(trace.entries) == 8
-    # the decode of the start model and of each of the 7 updates reads the
-    # component off the cell chain, and no re-encoded model is walked
+    # the checker takes the component of the start model and of each of
+    # the 7 updates from the cell chain, and no re-encoded model is walked
     assert walks == 0
 
 

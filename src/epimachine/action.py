@@ -13,13 +13,20 @@ come first, in tape order, so the product is a chain too, which states its
 ``a`` and ``b`` relations. Otherwise, as in faithful mode, for a malformed
 model or for a program that breaks the chain, the children are numbered
 parent by parent.
+
+The update also owns the ranks that name a plain run's products: given the
+parent's name order, it labels each parent by its position in that order
+and builds the child's name order, reading the ranks' ``str`` order from
+one table that it fits to each parent's size (``_rank_text``).
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
+from array import array
 from typing import Iterable, Mapping
 
 from ._value import Value, _set
@@ -43,6 +50,7 @@ from .logic import (
     parse_formula,
     plan_of,
     world_label,
+    world_sort_key,
 )
 
 
@@ -159,16 +167,18 @@ def build_program(
     if not designated:
         raise ValueError("designated action set must be non-empty")
     if not designated <= action_set:
-        raise ValueError("designated actions must be actions")
+        raise ValueError(f"designated actions must be actions, not {_listed(designated - action_set)}")
     if set(pre) != set(action_set):
         missing = action_set - set(pre)
         extra = set(pre) - action_set
         raise ValueError(f"precondition map mismatch (missing={missing}, extra={extra})")
     if not set(post) <= action_set:
-        raise ValueError("postcondition on unknown action")
-    for value in post.values():
+        raise ValueError(f"postcondition on unknown action {_listed(set(post) - action_set)}")
+    for action, value in post.items():
         if not isinstance(value, bool):
-            raise ValueError("postconditions must assign a constant boolean")
+            raise ValueError(
+                f"postconditions must assign a constant boolean: action {action!r} assigns {value!r}"
+            )
     canon_pairs = {}
     relations = {}
     for agent, pairs in relation_pairs.items():
@@ -176,6 +186,11 @@ def build_program(
         canon_pairs[agent] = pair_tuple
         relations[agent] = closure(pair_tuple, action_set)
     return EpistemicProgram(actions, relations, canon_pairs, dict(pre), post, designated)
+
+
+def _listed(ids) -> str:
+    """The ``repr`` of each of ``ids``, in ``repr`` order, comma separated."""
+    return ", ".join(sorted(map(repr, ids)))
 
 
 def identity_program(agents: Iterable[Agent]) -> EpistemicProgram:
@@ -208,13 +223,14 @@ def product_update(
     Returns None when no designated action applies at the point (the update
     is undefined) and raises DeterminismViolation when several do. The child
     of world w by action a is (w, a), so lineage stays inspectable, or
-    (names[w], a) when ``names``, a one-to-one map of the worlds, is given.
-    ``names`` may also be a pair (order, text): the parent's name order, a
-    list of its world numbers in ``world_sort_key`` order of their names
-    (``_Core.order``), and 0..len(order)-1 in ``str`` order. Then w is
-    labelled by its position k in ``order``, the child is (k, a), and the
-    child's core keeps its own name order, built from the parent's without
-    a sort of names. The child is its core alone, built from the
+    (names[w], a) when ``names``, a one-to-one map of the worlds, is given;
+    a map that gives a world no label, or two worlds one label, is refused
+    with a ValueError that names the world. ``names`` may also be the
+    parent's name order, a list of its world numbers in ``world_sort_key``
+    order of their names (``_Core.order``). Then w is labelled by its
+    position k in that order, the child is (k, a), and the child's core
+    keeps its own name order, built from the parent's without a sort of
+    names. The child is its core alone, built from the
     parent's: each relation is built in one pass over the parent's blocks,
     each child block as a tuple, then a branching parent alone in its
     class adds the groups of the program's shape of its actions. Every
@@ -259,12 +275,12 @@ def product_update(
     branching = list(itertools.compress(range(n), map((1).__lt__, counts)))
     action_of = list(itertools.chain.from_iterable(kids))
     order = None
-    if type(names) is tuple:
+    if type(names) is list:
         # the namer holds the parent's order, not its core
-        label = functools.partial(_ranks, names[0])
-        order = _child_order(*names, first, counts, branching, action_of)
+        label = functools.partial(_ranks, names)
+        order = _child_order(names, first, counts, branching, action_of)
     elif names is not None:
-        label = list(map(names.__getitem__, core.names))
+        label = _labels(names, core.names)
     elif type(core._names) is tuple or core._names.func is _product_names:
         label = core.names  # a product is named now, so no chain of namers builds up
     else:  # an encoding's namer, which holds a few numbers
@@ -330,7 +346,8 @@ def product_update(
 
     inherited = map(_bits_of(core.valuation, n).__getitem__, parent_of)
     values = bytes(map(program.post.get, action_of, inherited))
-    namer = functools.partial(_product_names, label, parent_of, action_of)
+    # a kept step holds its namer, so the parents' numbers take 4 bytes each
+    namer = functools.partial(_product_names, label, array("I", parent_of), action_of)
     child = _Core(len(parent_of), namer, blocks, _mask_of_bits(values), point, chain)
     child.order = order
     return PointedKripkeModel._of_core(child)
@@ -457,16 +474,58 @@ def _end_path(kids: tuple, tape: _Tape, link: int, key) -> dict | None:
     return path
 
 
-def _child_order(
-    order: list, text: list, first: list, counts: list, branching: list, action_of: list
-) -> list:
+def _labels(names: Mapping, worlds: tuple) -> list:
+    """The label ``names`` gives each of ``worlds``. Refused, naming the
+    world, when it gives a world no label or the label of a world before it
+    in ``world_sort_key`` order."""
+    first: dict = {}  # each label, to the first world given it
+    for world in sorted(worlds, key=world_sort_key):
+        if world not in names:
+            raise ValueError(f"names gives world {world_label(world)} no label")
+        other = first.setdefault(names[world], world)
+        if other is not world:
+            raise ValueError(
+                f"names gives worlds {world_label(other)} and {world_label(world)} one label {names[world]!r}"
+            )
+    return list(map(names.__getitem__, worlds))
+
+
+# 0..len-1 in ``str`` order, the order of the ranks that label a ranked
+# update's parents, as ``_rank_text`` last fitted it to a parent's size
+_TEXT: list = []
+
+
+def _rank_text(size: int) -> list:
+    """0..size-1 in ``str`` order, made from ``_TEXT`` and kept as it: by
+    dropping the numbers past the end, by inserting the new ones when they
+    are at most a sixteenth of ``size``, which is measured to beat a fresh
+    sort of 24 to 5,000 numbers, else by a fresh sort. A kept list is never
+    changed, so each caller reads the one it was given, whatever other runs
+    fit meanwhile."""
+    global _TEXT
+    text = _TEXT
+    if size == len(text):
+        return text
+    if size < len(text):
+        text = list(filter(size.__gt__, text))
+    elif (size - len(text)) * 16 <= size:
+        text = text.copy()
+        for r in range(len(text), size):
+            bisect.insort(text, r, key=str)
+    else:
+        text = sorted(range(size), key=str)
+    _TEXT = text
+    return text
+
+
+def _child_order(order: list, first: list, counts: list, branching: list, action_of: list) -> list:
     """The children's name order, given the parents' ``order``: a child is
     (its parent's position in ``order``, its action), so the parents come
-    in ``str`` order of their positions, which ``text`` lists, and each
-    parent's children, which are numbered ``first[p]``.., in action order.
-    Only a branching parent's children are sorted, and spliced in where its
-    first child stands."""
-    parents = list(map(order.__getitem__, text))
+    in ``str`` order of their positions, which ``_rank_text`` lists, and
+    each parent's children, which are numbered ``first[p]``.., in action
+    order. Only a branching parent's children are sorted, and spliced in
+    where its first child stands."""
+    parents = list(map(order.__getitem__, _rank_text(len(order))))
     heads = list(itertools.compress(map(first.__getitem__, parents), map(counts.__getitem__, parents)))
     kids = {first[p]: sorted(range(first[p], first[p + 1]), key=action_of.__getitem__) for p in branching}
     out: list = []

@@ -56,6 +56,34 @@ def world_label(world) -> str:
     return str(world)
 
 
+def _plain_parts(names) -> list | None:
+    """The text of every name, as one list, when no name is a tuple, or of
+    each part, as two lists, when every name is a pair of plain names; None
+    for any other names. Sorting by the zipped parts is sorting by
+    ``world_sort_key``, and each name's label is its text or ``(x,y)``."""
+    tuples = sum(map(isinstance, names, itertools.repeat(tuple)))
+    if not tuples:
+        return [list(map(str, names))]
+    if tuples == len(names) and set(map(len, names)) == {2}:
+        parts = list(zip(*names))
+        if not any(map(isinstance, itertools.chain(*parts), itertools.repeat(tuple))):
+            return [list(map(str, part)) for part in parts]
+    return None
+
+
+def _name_order(core) -> list:
+    """The name order ``core`` keeps, or else its world numbers sorted by
+    their names: by the bulk keys of ``_plain_parts`` when it has them, by
+    ``world_sort_key`` otherwise. Names not yet made are made for the sort,
+    and the core keeps neither them nor the order."""
+    if core.order is not None:
+        return core.order
+    names = core._names if type(core._names) is tuple else core._names()
+    parts = _plain_parts(names)
+    keys = list(map(world_sort_key, names)) if parts is None else list(zip(*parts))
+    return sorted(range(core.size), key=keys.__getitem__)
+
+
 # ---------------------------------------------------------------------------
 # relation indices
 

@@ -36,17 +36,18 @@ are encoder names and stay as they are. From step 2 on each parent is
 labelled by its rank k, its position among the step's worlds in name order
 (among that step's DOT nodes), so the child is ``(k, action)`` and ids stay
 one pair deep however long the run. The loop carries that order on each
-product's core: the first product after an encoding sorts its names once,
-and from then on the update builds each child's order from its parent's
-without a sort of names (``_Core.order``), reading the ranks' ``str`` order
-from one list per run that the loop fits to each parent's size. The update
-takes the ranks from the order only when a child's name is read, so a plain
-run names no world, and the DOT export reads the order to rank its nodes.
+product's core and gives it to the update as ``names``: the first product
+after an encoding sorts its names once (``logic._name_order``), and from
+then on the update builds each child's order from its parent's without a
+sort of names (``_Core.order``). The update takes the ranks from the order
+only when a child's name is read, so a plain run names no world, and the
+DOT export reads the order to rank its nodes. The naming rules themselves
+live in ``logic`` (sort keys and labels) and ``action`` (ranks); the loop
+decides only when to rank.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import time
@@ -55,7 +56,7 @@ from pathlib import Path
 from ._value import Value, _set
 from .action import DeterminismViolation, applicable_designated, product_update
 from .codec import DEFAULT_PADDING, EncodedModel, Malformed, decode, encode
-from .logic import Evaluator, PointedKripkeModel, _bits_of, _ranks, world_label, world_sort_key
+from .logic import Evaluator, PointedKripkeModel, _bits_of, _name_order, _plain_parts, _ranks, world_label
 from .machine import (
     HALTED,
     FiniteConfiguration,
@@ -185,33 +186,6 @@ def _entries_match(decoded, oracle) -> bool:
     return False
 
 
-def _name_order(core) -> list:
-    """The name order ``core`` keeps, or else its world numbers sorted by
-    their names: by the bulk keys of ``_plain_parts`` when it has them, by
-    ``world_sort_key`` otherwise. Names not yet made are made for the sort,
-    and the core keeps neither them nor the order."""
-    if core.order is not None:
-        return core.order
-    names = core._names if type(core._names) is tuple else core._names()
-    parts = _plain_parts(names)
-    keys = list(map(world_sort_key, names)) if parts is None else list(zip(*parts))
-    return sorted(range(core.size), key=keys.__getitem__)
-
-
-def _fit_text(text: list, size: int) -> None:
-    """Make ``text``, a run's list of 0..len(text)-1 in ``str`` order, list
-    0..size-1: by dropping the numbers past the end, by inserting the new
-    ones when they are at most a sixteenth of ``size``, which is measured
-    to beat a fresh sort of 24 to 5,000 numbers, else by a fresh sort."""
-    if size < len(text):
-        text[:] = filter(size.__gt__, text)
-    elif (size - len(text)) * 16 <= size:
-        for r in range(len(text), size):
-            bisect.insort(text, r, key=str)
-    else:
-        text[:] = sorted(range(size), key=str)
-
-
 def _stop_of(entry: StepEntry, max_steps: int) -> tuple[str, str | None] | None:
     """Why the run stops after ``entry``, as ``(stop_reason, error)``, or None
     if it goes on. The next update would choose from ``entry.applicable``, so
@@ -252,7 +226,6 @@ def _steps(spec, initial, max_steps, mode, reencode, padding, compiled):
         encoded = encode(initial, states, padding)
         model = encoded.model
         oracle_state: object = initial
-        text: list = []  # 0..m-1 in str order, for the last ranked parent's m
         # step 0 records the encoded start model; each later step first updates
         for index in range(max_steps + 1):
             if index:
@@ -260,9 +233,7 @@ def _steps(spec, initial, max_steps, mode, reencode, padding, compiled):
                 if encoded is None:
                     # a product parent is ranked by its name order, which the
                     # first product after an encoding gets here
-                    order = model._numbered().order = _name_order(model._numbered())
-                    _fit_text(text, len(order))
-                    names = (order, text)
+                    names = model._numbered().order = _name_order(model._numbered())
                 model = product_update(model, program, names)
                 encoded = None
                 if oracle_state is not HALTED:
@@ -354,20 +325,6 @@ def _quote(text: str) -> str:
     if '"' in text or "\\" in text:
         text = text.replace("\\", "\\\\").replace('"', '\\"')
     return '"' + text + '"'
-
-
-def _plain_parts(names) -> list | None:
-    """The text of every name, as one list, when no name is a tuple, or of
-    each part, as two lists, when every name is a pair of plain names; None
-    for any other names."""
-    tuples = sum(map(isinstance, names, itertools.repeat(tuple)))
-    if not tuples:
-        return [list(map(str, names))]
-    if tuples == len(names) and set(map(len, names)) == {2}:
-        parts = list(zip(*names))
-        if not any(map(isinstance, itertools.chain(*parts), itertools.repeat(tuple))):
-            return [list(map(str, part)) for part in parts]
-    return None
 
 
 def export_dot(model: PointedKripkeModel) -> str:

@@ -6,6 +6,7 @@ renderer writes, on runner steps and on random models of every kind of
 name. A plain run names no world, and keeps no chain of cores alive."""
 
 import gc
+import itertools
 import weakref
 
 import pytest
@@ -13,11 +14,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epimachine import runner
-from epimachine.action import applicable_designated, product_update
+from epimachine.action import _rank_text, applicable_designated, product_update
 from epimachine.codec import DEFAULT_PADDING
 from epimachine.logic import EquivRelation, PointedKripkeModel, world_sort_key
 from epimachine.program import GROWTH_MODES, compile_program
-from epimachine.runner import _fit_text, emulate, export_dot
+from epimachine.runner import emulate, export_dot
 
 from helpers import load, random_partition_model, reference_dot
 from test_core import FAITHFUL_PLAIN_CAP, RUNS
@@ -88,7 +89,7 @@ def test_an_update_given_its_parents_order_keeps_its_childrens_order(rng, fragme
         assume(len(applicable_designated(model, program)) == 1)
         ranks = {names[k]: r for r, k in enumerate(order)}
         expected = product_update(model, program, ranks)._numbered().names
-        model = product_update(model, program, (order, sorted(range(len(order)), key=str)))
+        model = product_update(model, program, order)
         core = model._numbered()
         assert core.names == expected
         names, order = core.names, core.order
@@ -96,12 +97,35 @@ def test_an_update_given_its_parents_order_keeps_its_childrens_order(rng, fragme
 
 
 def test_a_runs_text_order_fits_every_size():
-    """One list fitted to sizes that grow by a few (inserted) and by many
-    (sorted anew), and that shrink by a few and by many."""
-    text = []
-    for size in (5, 6, 9, 17, 16, 10, 11, 0, 1, 120, 127, 135, 112, 1000, 1040, 1100, 3, 12):
-        _fit_text(text, size)
-        assert text == sorted(range(size), key=str)
+    """One table fitted to sizes that grow by a few (inserted) and by many
+    (sorted anew), that shrink by a few and by many, and that stay; each
+    list given out stays as it was given while later sizes are fitted."""
+    sizes = (5, 6, 9, 17, 16, 10, 11, 0, 1, 120, 127, 135, 135, 112, 1000, 1040, 1100, 3, 12)
+    given = [_rank_text(size) for size in sizes]
+    assert given == [sorted(range(size), key=str) for size in sizes]
+
+
+def test_plain_runs_advanced_in_turn_name_each_step_as_alone():
+    """Every ranked update reads the ranks' text order from one table that
+    it fits to its parent's size; two runs of different sizes, stepped in
+    turn, refit it at every step and still give each step the names and
+    the order it gets in a run of its own."""
+    runs = [("march", 30), ("bb4", 60)]
+    alone, steps = [], []
+    for name, cap in runs:
+        spec, initial = load(name)
+        alone.append([entry.model for entry in emulate(spec, initial, cap).entries])
+        steps.append(runner._steps(spec, initial, cap, "repaired", False, DEFAULT_PADDING, None))
+    together = [[], []]
+    for entries in itertools.zip_longest(*steps):
+        for models, entry in zip(together, entries):
+            if entry is not None:
+                models.append(entry.model)
+    assert list(map(len, together)) == list(map(len, alone)) == [31, 61]
+    for run, models in zip(alone, together):
+        for own, stepped in zip(run, models):
+            assert stepped._numbered().order == own._numbered().order
+            assert stepped._numbered().names == own._numbered().names
 
 
 @pytest.mark.parametrize("mode", GROWTH_MODES)

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from epimachine.action import build_program, export_program, import_program
+from epimachine.action import build_program, export_program, import_program, product_update
 from epimachine.codec import _build_tape_model, encode, validate_encoding
 from epimachine.logic import (
     P,
@@ -109,6 +109,43 @@ def test_a_machine_refuses_other_symbols_and_moves(transitions, message):
 def test_a_program_refuses_a_postcondition_on_an_unknown_action():
     with pytest.raises(ValueError, match="postcondition on unknown action"):
         build_program(("x",), {}, {"x": TOP}, {"y": True}, ("x",))
+
+
+@pytest.mark.parametrize(
+    "post, designated, message",
+    [
+        ({"y": True, "w": False}, ("x",), "postcondition on unknown action 'w', 'y'"),
+        ({"x": 1}, ("x",), "postconditions must assign a constant boolean: action 'x' assigns 1"),
+        ({"x": "true"}, ("x",), "action 'x' assigns 'true'"),
+        (None, ("x", "halt"), "designated actions must be actions, not 'halt'"),
+        (None, ("z", "x", "halt"), "designated actions must be actions, not 'halt', 'z'"),
+    ],
+)
+def test_a_program_refusal_names_the_entry(post, designated, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_program(("x",), {}, {"x": TOP}, post, designated)
+
+
+def _updated(names):
+    """Two worlds u (p) and v (~p) linked under ``a``, updated by one
+    always-applicable action ``go`` with ``names``."""
+    model = make_model({"u", "v"}, {TAPE_A: [("u", "v")]}, {"u"}, "u")
+    program = build_program(("go",), {TAPE_A: ()}, {"go": TOP}, None, ("go",))
+    return product_update(model, program, names)
+
+
+def test_an_update_refuses_a_names_map_without_a_parent_world():
+    with pytest.raises(ValueError, match=re.escape("names gives world v no label")):
+        _updated({"u": 0})
+    with pytest.raises(ValueError, match=re.escape("names gives world u no label")):
+        _updated({"w": 0})
+
+
+def test_an_update_refuses_a_names_map_that_gives_two_worlds_one_label():
+    """Both children would be named (0, 'go'), one world to the model."""
+    with pytest.raises(ValueError, match=re.escape("names gives worlds u and v one label 0")):
+        _updated({"u": 0, "v": 0})
+    assert _updated({"u": 0, "v": 1}).worlds == {(0, "go"), (1, "go")}
 
 
 def test_formula_builders_refuse_other_digits_and_unmatched_parameters():
@@ -286,6 +323,22 @@ def test_an_imported_program_refuses_a_designated_entry_that_is_not_a_string():
     doc = _program_doc()
     doc["designated"] = ["go", ["stay"]]
     with pytest.raises(ValueError, match=re.escape("designated entry ['stay'] is not an action id")):
+        import_program(json.dumps(doc))
+
+
+def test_an_imported_program_refuses_a_designated_id_that_is_no_action_by_name():
+    doc = _program_doc()
+    doc["designated"] = ["go", "halt"]
+    with pytest.raises(ValueError, match=re.escape("designated actions must be actions, not 'halt'")):
+        import_program(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value", [1, "false", None])
+def test_an_imported_program_refuses_a_postcondition_that_is_not_a_boolean_by_name(value):
+    doc = _program_doc()
+    doc["actions"][1]["post"] = value
+    message = f"postconditions must assign a constant boolean: action 'stay' assigns {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         import_program(json.dumps(doc))
 
 

@@ -14,10 +14,12 @@ come first, in tape order, so the product is a chain too, which states its
 model or for a program that breaks the chain, the children are numbered
 parent by parent.
 
-The update also owns the ranks that name a plain run's products: given the
-parent's name order, it labels each parent by its position in that order
-and builds the child's name order, reading the ranks' ``str`` order from
-one table that it fits to each parent's size (``_rank_text``).
+The update also owns the ranks that name a plain run's products: asked to
+rank, it labels each parent by its position in the parent's name order,
+and the child's core gets an order source (``_Ordering``), which makes the
+child's name order when it is first read, from the parent's order and the
+child's lineage, reading the ranks' ``str`` order from one table that it
+fits to each parent's size (``_rank_text``).
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .logic import (
     _Core,
     _mask_of_bits,
     _ranks,
+    _sorted_order,
     _tape_blocks,
     closure,
     format_formula,
@@ -215,6 +218,10 @@ def applicable_designated(
     return _designated(ev.run(plan), ev._core.point, designated)
 
 
+# asks ``product_update`` to rank the parent by its own name order
+_RANK = object()
+
+
 def product_update(
     model: PointedKripkeModel, program: EpistemicProgram, names: Mapping | None = None
 ) -> PointedKripkeModel | None:
@@ -227,17 +234,20 @@ def product_update(
     a map that gives a world no label, or two worlds one label, is refused
     with a ValueError that names the world. ``names`` may also be the
     parent's name order, a list of its world numbers in ``world_sort_key``
-    order of their names (``_Core.order``). Then w is labelled by its
-    position k in that order, the child is (k, a), and the child's core
-    keeps its own name order, built from the parent's without a sort of
-    names. The child is its core alone, built from the
-    parent's: each relation is built in one pass over the parent's blocks,
-    each child block as a tuple, then a branching parent alone in its
-    class adds the groups of the program's shape of its actions. Every
+    order of their names, or ``_RANK``, which asks for the parent's own
+    (``_Core.order``); a first product after an encoding, which has none
+    yet, gets an order source that sorts its names. Then w is labelled by
+    its position k in that order, the child is (k, a), and the child's core
+    gets an order source (``_Ordering``), which makes the child's name
+    order when it is first read, from the parent's order and the child's
+    lineage, without a sort of names. The child is its core alone, built
+    from the parent's: each relation is built in one pass over the parent's
+    blocks, each child block as a tuple, then a branching parent alone in
+    its class adds the groups of the program's shape of its actions. Every
     child gets its number from the child-slot map, by its place parent by
     parent. The child's worlds are named when first read; an encoding
-    parent and a parent given by its order are left unnamed till then, any
-    other parent is named now.
+    parent and a ranked parent are left unnamed till then, any other parent
+    is named now.
 
     A parent with a tape ``chain`` whose children continue it, as
     ``_chain_slots`` checks in bulk (every interior tape child in one ``a``
@@ -274,11 +284,16 @@ def product_update(
     first = list(itertools.accumulate(counts, initial=0))
     branching = list(itertools.compress(range(n), map((1).__lt__, counts)))
     action_of = list(itertools.chain.from_iterable(kids))
-    order = None
-    if type(names) is list:
-        # the namer holds the parent's order, not its core
+    ranked = names is _RANK or type(names) is list
+    if names is _RANK:
+        names = core._order
+        if names is None:  # a first product after an encoding sorts its names
+            names = core._order = _Ordering(core._names)
+        elif type(names) is _Ordering and type(names.state) is list:
+            names = names.state
+    if ranked:
+        # the namer holds the parent's order, or its source, not its core
         label = functools.partial(_ranks, names)
-        order = _child_order(names, first, counts, branching, action_of)
     elif names is not None:
         label = _labels(names, core.names)
     elif type(core._names) is tuple or core._names.func is _product_names:
@@ -292,15 +307,13 @@ def product_update(
     parent_of, off_chain = [], 0  # the parents of the chain's children, and the first parent after
     tape_blocks = {}
     if core.chain is not None and tape is not None:
-        numbered = _chain_slots(core.chain, masks, kids, first, action_of, branching, tape)
+        numbered = _chain_slots(core.chain, masks, kids, first, action_of, branching, tape, slot)
         if numbered is not None:
-            chain, slot, parent_of, chain_actions = numbered
+            chain, parent_of, chain_actions = numbered
             off_chain = core.chain[0]
             tape_blocks = _tape_blocks(*chain)
             action_of = chain_actions + action_of[first[off_chain] :]
             point = slot[point]
-            if order is not None:
-                order = list(map(slot.__getitem__, order))
     # the parents numbered parent by parent: one sort merges two runs, the
     # parents with a child, then the extra children's parents
     extra = [p for p in branching if p >= off_chain for _ in kids[p][1:]]
@@ -347,22 +360,32 @@ def product_update(
     inherited = map(_bits_of(core.valuation, n).__getitem__, parent_of)
     values = bytes(map(program.post.get, action_of, inherited))
     # a kept step holds its namer, so the parents' numbers take 4 bytes each
-    namer = functools.partial(_product_names, label, array("I", parent_of), action_of)
+    parent_of = array("I", parent_of)
+    namer = functools.partial(_product_names, label, parent_of, action_of)
     child = _Core(len(parent_of), namer, blocks, _mask_of_bits(values), point, chain)
-    child.order = order
+    if ranked:
+        child.order = _Ordering(names, parent_of, action_of)
     return PointedKripkeModel._of_core(child)
 
 
 def _chain_slots(
-    chain: tuple, masks: list, kids: list, first: list, action_of: list, branching: list, tape: _Tape
+    chain: tuple,
+    masks: list,
+    kids: list,
+    first: list,
+    action_of: list,
+    branching: list,
+    tape: _Tape,
+    slot: list,
 ):
     """The child chain of a parent with a tape ``chain`` (c, parity), given
     the root ``masks`` and the children numbered parent by parent (parent
     p's actions ``kids[p]``, its first child ``first[p]``, each child's
-    action ``action_of``): the child's chain, the child-slot map (each
-    child's number, by its place parent by parent), and the parents and
-    actions of the children of the chain's cells, in their new order. None
-    if the children do not continue the chain.
+    action ``action_of``): the child's chain, and the parents and actions
+    of the children of the chain's cells, in their new order; the identity
+    child-slot map ``slot`` (each child's number, by its place parent by
+    parent) is renumbered in place. None, with ``slot`` untouched, if the
+    children do not continue the chain.
 
     They continue it when, checked in bulk on the root masks: each interior
     cell 1..c-2 has exactly one child by a tape action, no tape action
@@ -420,7 +443,6 @@ def _chain_slots(
     # number the chain children and, after them, the chain cells' other
     # children; the children of the parents off the chain keep their numbers
     shift = m - 1  # interior cell k's child is k + shift
-    slot = list(range(first[-1]))
     actions = [None] * size
     parents = [0] * m + list(range(1, c - 1)) + [c - 1] * len(right)
     rest = size
@@ -449,7 +471,7 @@ def _chain_slots(
                 actions[slot[i]] = action
             i += 1
         done = cell + 1
-    return (size, (parity + shift) % 2), slot, parents, actions
+    return (size, (parity + shift) % 2), parents, actions
 
 
 def _end_path(kids: tuple, tape: _Tape, link: int, key) -> dict | None:
@@ -477,8 +499,13 @@ def _end_path(kids: tuple, tape: _Tape, link: int, key) -> dict | None:
 def _labels(names: Mapping, worlds: tuple) -> list:
     """The label ``names`` gives each of ``worlds``. Refused, naming the
     world, when it gives a world no label or the label of a world before it
-    in ``world_sort_key`` order."""
-    first: dict = {}  # each label, to the first world given it
+    in ``world_sort_key`` order; the worlds are sorted only to find that
+    world."""
+    if all(map(names.__contains__, worlds)):
+        labels = list(map(names.__getitem__, worlds))
+        if len(set(labels)) == len(labels):
+            return labels
+    first: dict = {}  # each label, to the first world given it; a refused map fails below
     for world in sorted(worlds, key=world_sort_key):
         if world not in names:
             raise ValueError(f"names gives world {world_label(world)} no label")
@@ -487,7 +514,7 @@ def _labels(names: Mapping, worlds: tuple) -> list:
             raise ValueError(
                 f"names gives worlds {world_label(other)} and {world_label(world)} one label {names[world]!r}"
             )
-    return list(map(names.__getitem__, worlds))
+    raise AssertionError("unreachable: the map was refused")
 
 
 # 0..len-1 in ``str`` order, the order of the ranks that label a ranked
@@ -518,24 +545,93 @@ def _rank_text(size: int) -> list:
     return text
 
 
-def _child_order(order: list, first: list, counts: list, branching: list, action_of: list) -> list:
-    """The children's name order, given the parents' ``order``: a child is
-    (its parent's position in ``order``, its action), so the parents come
-    in ``str`` order of their positions, which ``_rank_text`` lists, and
-    each parent's children, which are numbered ``first[p]``.., in action
-    order. Only a branching parent's children are sorted, and spliced in
-    where its first child stands."""
-    parents = list(map(order.__getitem__, _rank_text(len(order))))
-    heads = list(itertools.compress(map(first.__getitem__, parents), map(counts.__getitem__, parents)))
-    kids = {first[p]: sorted(range(first[p], first[p + 1]), key=action_of.__getitem__) for p in branching}
+class _Ordering:
+    """A product's order source: it makes the product's name order when
+    first called and keeps it as its ``state``, which until then is the
+    recipe (parent, parent_of, action_of); making the order drops the
+    recipe. A product of a ranked update makes it from its parent's order,
+    ``parent`` (the list, or the parent's source), and its own lineage, as
+    its namer keeps it (``_child_order``). A first product after an
+    encoding, whose ``parent`` is its names or namer, sorts its names. A
+    chain of sources not yet made is made in a loop, the oldest first. A
+    source refers to no core."""
+
+    __slots__ = ("state", "__weakref__")
+
+    def __init__(self, parent, parent_of: array | None = None, action_of: list | None = None):
+        self.state = (parent, parent_of, action_of)
+
+    def __call__(self) -> list:
+        unmade = []  # this source and each unmade one above it, newest first
+        source = self
+        while type(source) is _Ordering and type(state := source.state) is tuple:
+            unmade.append((source, state))
+            source = state[0]
+        for source, (parent, parent_of, action_of) in reversed(unmade):
+            if type(parent) is _Ordering:
+                parent = parent.state  # made by now
+            if type(parent) is list:
+                source.state = _child_order(parent, parent_of, action_of)
+            else:
+                source.state = _sorted_order(parent if type(parent) is tuple else parent())
+        return self.state
+
+
+def _child_order(order: list, parent_of: array, action_of: list) -> list:
+    """The children's name order, given the parents' ``order`` and each
+    child's parent and action: a child is (its parent's position in
+    ``order``, its action), so the parents come in ``str`` order of their
+    positions, which ``_rank_text`` lists, each with its children in action
+    order. One pass over the children finds each parent's last child and
+    the others, and a parent with one child stands for it; the children of
+    a parent with several are sorted by action and spliced in where the
+    parent stands."""
+    size = len(order)
+    last = [-1] * size  # each parent's last child
+    extra = []  # every other child
+    for child, parent in zip(_numbers(len(parent_of)), parent_of):
+        if last[parent] >= 0:
+            extra.append(last[parent])
+        last[parent] = child
+    kids: dict = {}  # each parent of several children, to them
+    for child in extra:
+        parent = parent_of[child]
+        if parent in kids:
+            kids[parent].append(child)
+        else:
+            kids[parent] = [child]
+    for parent, children in kids.items():
+        children.append(last[parent])
+        children.sort(key=action_of.__getitem__)
+        last[parent] = -1
+    text = _rank_text(size)
+    heads = list(map(last.__getitem__, map(order.__getitem__, text)))
+    gaps = heads.count(-1)  # the parents with no child or with several
+    if not gaps:
+        return heads
     out: list = []
     start = 0
-    for i in itertools.compress(itertools.count(), map(kids.__contains__, heads)):
+    for _ in range(gaps):
+        i = heads.index(-1, start)
         out += heads[start:i]
-        out += kids[heads[i]]
+        out += kids.get(order[text[i]], ())
         start = i + 1
     out += heads[start:]
     return out
+
+
+# 0, 1, 2, ... as one list, whose numbers every made order shares; a longer
+# list than any before replaces it, and a list once made is never changed
+_NUMBERS: list = []
+
+
+def _numbers(size: int) -> list:
+    """``_NUMBERS``, at least ``size`` long."""
+    global _NUMBERS
+    numbers = _NUMBERS
+    if len(numbers) < size:
+        numbers = _NUMBERS = list(range(max(size, 2 * len(numbers))))
+    return numbers
 
 
 def _product_names(label, parent_of, action_of) -> tuple:

@@ -72,16 +72,23 @@ def _plain_parts(names) -> list | None:
 
 
 def _name_order(core) -> list:
-    """The name order ``core`` keeps, or else its world numbers sorted by
-    their names: by the bulk keys of ``_plain_parts`` when it has them, by
-    ``world_sort_key`` otherwise. Names not yet made are made for the sort,
-    and the core keeps neither them nor the order."""
-    if core.order is not None:
-        return core.order
-    names = core._names if type(core._names) is tuple else core._names()
+    """The name order ``core`` keeps or makes (``_Core.order``), or else its
+    world numbers sorted by their names (``_sorted_order``). Names not yet
+    made are made for the sort, and the core keeps neither them nor the
+    order."""
+    order = core.order
+    if order is None:
+        order = _sorted_order(core._names if type(core._names) is tuple else core._names())
+    return order
+
+
+def _sorted_order(names: tuple) -> list:
+    """The numbers 0..len-1 of ``names`` sorted by the names: by the bulk
+    keys of ``_plain_parts`` when it has them, by ``world_sort_key``
+    otherwise."""
     parts = _plain_parts(names)
     keys = list(map(world_sort_key, names)) if parts is None else list(zip(*parts))
-    return sorted(range(core.size), key=keys.__getitem__)
+    return sorted(range(len(names)), key=keys.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -700,14 +707,16 @@ class _Core:
     valuation as one mask (bit k for world k) and the point as a number.
     Whoever builds a core gives the names either as a tuple or as a namer,
     a callable that makes the tuple when ``names`` is first read. ``order``,
-    once known, lists the world numbers in ``world_sort_key`` order of their
-    names. ``chain``, when given, is (c, parity) for a core whose worlds
-    0..c-1 are a tape chain: the ``a`` blocks are exactly the pairs
-    (k, k + 1) with k % 2 == parity and k + 1 < c, the ``b`` blocks the
-    other such pairs, as ``_tape_blocks`` gives them. A core refers to no
-    other model or core."""
+    when known, lists the world numbers in ``world_sort_key`` order of their
+    names; a product of a ranked update holds instead its order source
+    (``action._Ordering``), which makes the list when ``order`` is first
+    read, and the core then keeps the list alone. ``chain``, when given, is
+    (c, parity) for a core whose worlds 0..c-1 are a tape chain: the ``a``
+    blocks are exactly the pairs (k, k + 1) with k % 2 == parity and
+    k + 1 < c, the ``b`` blocks the other such pairs, as ``_tape_blocks``
+    gives them. A core refers to no other model or core."""
 
-    __slots__ = ("size", "_names", "blocks", "valuation", "point", "order", "chain", "__weakref__")
+    __slots__ = ("size", "_names", "blocks", "valuation", "point", "_order", "chain", "__weakref__")
 
     def __init__(self, size: int, names, blocks: Mapping, valuation: int, point: int, chain=None):
         self.size = size
@@ -715,7 +724,7 @@ class _Core:
         self.blocks = blocks
         self.valuation = valuation
         self.point = point
-        self.order = None
+        self._order = None
         self.chain = chain
 
     @property
@@ -724,6 +733,17 @@ class _Core:
         if type(names) is not tuple:
             names = self._names = names()
         return names
+
+    @property
+    def order(self) -> list | None:
+        order = self._order
+        if order is not None and type(order) is not list:
+            order = self._order = order()
+        return order
+
+    @order.setter
+    def order(self, order: list | None) -> None:
+        self._order = order
 
     @classmethod
     def of_named(cls, model: PointedKripkeModel) -> "_Core":
@@ -739,11 +759,24 @@ class _Core:
         return cls(len(names), names, blocks, valuation, position(model.point))
 
 
-def _ranks(order: list) -> list:
-    """Each number's position in ``order``, a permutation of 0..len-1."""
-    ranks = [0] * len(order)
-    for r, k in enumerate(order):
-        ranks[k] = r
+# the order ranked last and its ranks, which are never changed
+_RANKED: tuple = (None, None)
+
+
+def _ranks(order) -> list:
+    """Each number's position in ``order``, a permutation of 0..len-1 given
+    as a list or by an order source, which makes it. The last order ranked
+    keeps its ranks for its next reader: a step's DOT export and its
+    child's namer rank one order."""
+    global _RANKED
+    if type(order) is not list:
+        order = order()
+    ranked, ranks = _RANKED
+    if ranked is not order:
+        ranks = [0] * len(order)
+        for r, k in enumerate(order):
+            ranks[k] = r
+        _RANKED = (order, ranks)
     return ranks
 
 
@@ -1051,17 +1084,20 @@ class Evaluator:
 
 
 # The cell pairs (k, k + 1) of every chain core, shared by the encoder and
-# the update; the table grows on demand to the longest chain built.
+# the update; a longer chain than any before replaces the table by a longer
+# one, and a table once made is never changed.
 _PAIRS: list = []
 
 
 def _tape_blocks(cells: int, parity: int) -> dict:
     """The ``a`` and ``b`` blocks of the chain (``cells``, ``parity``),
     sliced from the pair table."""
-    k = len(_PAIRS)
-    if k < cells - 1:
-        _PAIRS.extend(zip(range(k, cells - 1), range(k + 1, cells)))
-    return {TAPE_A: tuple(_PAIRS[parity : cells - 1 : 2]), TAPE_B: tuple(_PAIRS[1 - parity : cells - 1 : 2])}
+    global _PAIRS
+    pairs = _PAIRS
+    if len(pairs) < cells - 1:
+        k = len(pairs)
+        pairs = _PAIRS = pairs + list(zip(range(k, cells - 1), range(k + 1, cells)))
+    return {TAPE_A: tuple(pairs[parity : cells - 1 : 2]), TAPE_B: tuple(pairs[1 - parity : cells - 1 : 2])}
 
 
 @functools.lru_cache(maxsize=64)

@@ -35,15 +35,18 @@ Product worlds are ``(parent, action)`` pairs. Step-1 and re-encoded parents
 are encoder names and stay as they are. From step 2 on each parent is
 labelled by its rank k, its position among the step's worlds in name order
 (among that step's DOT nodes), so the child is ``(k, action)`` and ids stay
-one pair deep however long the run. The loop carries that order on each
-product's core and gives it to the update as ``names``: the first product
-after an encoding sorts its names once (``logic._name_order``), and from
-then on the update builds each child's order from its parent's without a
-sort of names (``_Core.order``). The update takes the ranks from the order
-only when a child's name is read, so a plain run names no world, and the
-DOT export reads the order to rank its nodes. The naming rules themselves
-live in ``logic`` (sort keys and labels) and ``action`` (ranks); the loop
-decides only when to rank.
+one pair deep however long the run. The loop only asks the update to rank
+a product parent; each product's core makes its name order when it is
+first read (``_Core.order``): the first product after an encoding sorts its
+names, and every later one builds its order from its parent's and the
+lineage its namer keeps, without a sort of names. The ranks are taken from
+the order only when a child's name is read, so a plain run names no world,
+and the DOT export reads the order to rank its nodes. ``emulate`` keeps
+every step, so it makes no order that nobody reads; the streaming runs make
+each ranked product's order as its step is made, so no step holds a chain
+of its ancestors' lineage. The naming rules themselves live in ``logic``
+(sort keys and labels) and ``action`` (ranks and orders); the loop decides
+only when to rank.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import time
 from pathlib import Path
 
 from ._value import Value, _set
-from .action import DeterminismViolation, applicable_designated, product_update
+from .action import _RANK, DeterminismViolation, applicable_designated, product_update
 from .codec import DEFAULT_PADDING, EncodedModel, Malformed, decode, encode
 from .logic import Evaluator, PointedKripkeModel, _bits_of, _name_order, _plain_parts, _ranks, world_label
 from .machine import (
@@ -205,9 +208,11 @@ def _stop_of(entry: StepEntry, max_steps: int) -> tuple[str, str | None] | None:
     return None
 
 
-def _steps(spec, initial, max_steps, mode, reencode, padding, compiled):
+def _steps(spec, initial, max_steps, mode, reencode, padding, compiled, kept=False):
     """Yield each step's entry as it is built, the last one being the first
-    for which ``_stop_of`` names a stop reason."""
+    for which ``_stop_of`` names a stop reason. Unless the consumer keeps
+    every step (``kept``), each ranked product's name order is made as its
+    step is made, which drops the source's hold on its parent's order."""
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     if compiled is None:
@@ -229,12 +234,10 @@ def _steps(spec, initial, max_steps, mode, reencode, padding, compiled):
         # step 0 records the encoded start model; each later step first updates
         for index in range(max_steps + 1):
             if index:
-                names = None
-                if encoded is None:
-                    # a product parent is ranked by its name order, which the
-                    # first product after an encoding gets here
-                    names = model._numbered().order = _name_order(model._numbered())
-                model = product_update(model, program, names)
+                ranked = encoded is None  # a product parent is ranked by its name order
+                model = product_update(model, program, _RANK if ranked else None)
+                if ranked and not kept:
+                    model._numbered().order  # made now, so no chain of lineage builds up
                 encoded = None
                 if oracle_state is not HALTED:
                     oracle_state = step(spec, oracle_state)
@@ -282,7 +285,7 @@ def emulate(
     ``compiled`` is the program of ``spec`` in ``mode``, by default the one
     ``compile_program`` keeps on the spec.
     """
-    entries = list(_steps(spec, initial, max_steps, mode, reencode, padding, compiled))
+    entries = list(_steps(spec, initial, max_steps, mode, reencode, padding, compiled, kept=True))
     stop_reason, error = _stop_of(entries[-1], max_steps)
     return StepTrace(spec.name, mode, reencode, padding, entries, stop_reason, error)
 

@@ -7,13 +7,16 @@ name. A plain run names no world, and keeps no chain of cores alive."""
 
 import gc
 import itertools
+import operator
+import random
 import weakref
+from array import array
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epimachine import runner
+from epimachine import action, runner
 from epimachine.action import _rank_text, applicable_designated, product_update
 from epimachine.codec import DEFAULT_PADDING
 from epimachine.logic import EquivRelation, PointedKripkeModel, world_sort_key
@@ -94,6 +97,36 @@ def test_an_update_given_its_parents_order_keeps_its_childrens_order(rng, fragme
         assert core.names == expected
         names, order = core.names, core.order
         assert order == sorted(range(len(names)), key=lambda k: world_sort_key(names[k]))
+
+
+@given(st.integers(0, 2**32), st.integers(1, 400), st.sampled_from((0.02, 0.5)))
+@settings(max_examples=150)
+def test_a_child_order_is_the_sort_of_the_childrens_names(seed, size, branching):
+    """``_child_order`` on random lineages against a sort of the children's
+    names (parent's rank, action): parents with no child or several at the
+    rate ``branching``, the children numbered parent by parent, a few of
+    them then moved to the front and a few to the end, as a chain moves
+    its cells' children, and the rest cut into a few pieces put in random
+    order, so a parent's children may stand apart."""
+    rng = random.Random(seed)
+    counts = [rng.choice((0, 2, 3)) if rng.random() < branching else 1 for _ in range(size)]
+    actions = [f"a{k}" for k in range(5)]
+    children = [(p, a) for p in range(size) for a in rng.sample(actions, counts[p])]
+    assume(children)
+    moved = rng.sample(range(len(children)), min(6, len(children)))
+    front = [children[i] for i in moved[:3]]
+    back = [children[i] for i in moved[3:]]
+    rest = [child for i, child in enumerate(children) if i not in moved]
+    cuts = sorted(rng.sample(range(len(rest) + 1), min(3, len(rest) + 1)))
+    pieces = [rest[i:j] for i, j in zip([0, *cuts], [*cuts, len(rest)])]
+    rng.shuffle(pieces)
+    children = front + [child for piece in pieces for child in piece] + back
+    parent_of = array("I", [p for p, _ in children])
+    action_of = [a for _, a in children]
+    order = rng.sample(range(size), size)
+    rank = {p: r for r, p in enumerate(order)}
+    expected = sorted(range(len(children)), key=lambda c: (str(rank[parent_of[c]]), action_of[c]))
+    assert action._child_order(order, parent_of, action_of) == expected
 
 
 def test_a_runs_text_order_fits_every_size():
@@ -231,4 +264,102 @@ def test_a_chain_of_plain_steps_keeps_no_chain_of_cores():
     assert [core() is not None for core in cores] == [False] * 40 + [True]
     assert cores[-1]() is entry.model._numbered()
     assert not _is_named(entry.model)
+    run.close()
+
+
+def test_a_kept_run_can_be_read_late_and_in_any_order():
+    """A plain ``emulate`` run keeps every step and makes no order till one
+    is read. The last of 1200 steps, read first, names its worlds and
+    renders its DOT file through the chain of 1199 unread orders above it,
+    which is made in a loop, so under the default recursion limit. Then
+    every step's order is the sort of its names, and its names are the
+    names an eager rank naming gives, as ``_eager_names`` makes them but
+    one step at a time, each step dropped once checked."""
+    spec, initial = load("march")
+    program = compile_program(spec, "repaired").program
+    entries = emulate(spec, initial, 1200).entries
+    assert len(entries) == 1201
+    assert not any(type(entry.model._numbered()._order) is list for entry in entries)
+    last = entries[-1].model
+    assert last._numbered().names and export_dot(last) == reference_dot(last)
+
+    # the run holds millions of objects and no cycle, so the checks below
+    # run without the cyclic collector, which would walk them all again
+    # and again
+    gc.disable()
+    try:
+        _assert_eager(entries, program)
+    finally:
+        gc.enable()
+
+
+def _assert_eager(entries, program):
+    """Every step's order is the sort of its names, and its names are the
+    eager ones; each entry is dropped once checked."""
+    model, ranks = entries[0].model, None
+    for i, entry in enumerate(entries):
+        if i:
+            model = product_update(model, program, ranks)
+        eager = model._numbered().names
+        core = entry.model._numbered()
+        names = core._names if type(core._names) is tuple else core._names()
+        assert names == eager
+        if i:
+            # every product name is a pair of plain names, which
+            # ``world_sort_key`` sorts by the text of each part
+            parents, actions = zip(*names)
+            assert set(map(type, parents + actions)) <= {int, str}
+            keys = list(zip(map(str, parents), actions))
+            order = core.order
+            ordered = list(map(keys.__getitem__, order))
+            assert len(order) == len(keys) and all(map(operator.lt, ordered, ordered[1:]))
+            ranks = {eager[k]: r for r, k in enumerate(order)}
+        entries[i] = None
+
+
+def test_a_kept_run_that_reads_no_name_makes_no_order(monkeypatch):
+    """``emulate`` keeps every step, so with no name read it makes no
+    order: it neither builds one, nor sorts names, nor fits a rank text."""
+    calls = []
+    for name in ("_child_order", "_sorted_order", "_rank_text"):
+
+        def counting(*args, _name=name, _real=getattr(action, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(action, name, counting)
+    spec, initial = load("march")
+    trace = emulate(spec, initial, 200)
+    assert len(trace.entries) == 201 and calls == []
+    assert trace.entries[-1].model._numbered().order and calls
+
+
+def test_a_streamed_plain_run_keeps_no_chain_of_unread_lineage(monkeypatch):
+    """40 plain runner steps consumed as ``verify_lockstep`` consumes them,
+    looked at while the run waits at its last step: each ranked product's
+    order is made as its step is made, which drops its source's hold on its
+    parent's order, so of the order sources and the lineages (each namer's
+    parent numbers) the updates made, only the last step's may remain."""
+    sources, lineages = [], []
+
+    def keeping(*args):
+        out = product_update(*args)
+        core = out._numbered()
+        if core._order is not None:
+            sources.append(weakref.ref(core._order))
+        lineages.append(weakref.ref(core._names.args[1]))
+        return out
+
+    monkeypatch.setattr(runner, "product_update", keeping)
+    spec, initial = load("bb4")
+    run = runner._steps(spec, initial, 40, "repaired", False, DEFAULT_PADDING, None)
+    for entry in run:
+        if entry.index == 40:
+            break
+    gc.collect()
+    # the first product, an encoding's child, is not ranked
+    assert len(lineages) == 40 and len(sources) == 39
+    assert [ref() is not None for ref in lineages] == [False] * 39 + [True]
+    assert not any(ref() is not None for ref in sources[:-1])
+    assert entry.model._numbered()._names.args[1] is lineages[-1]()
     run.close()

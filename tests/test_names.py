@@ -5,6 +5,8 @@ that reads no name keeps no chain of cores alive."""
 
 import gc
 import random
+import sys
+import threading
 import weakref
 
 import pytest
@@ -113,6 +115,39 @@ def test_a_tape_core_of_either_parity_has_the_eager_names(monkeypatch):
     core = _build_tape_model(lo, hi, (lo, 0, hi), 0, spec.start, spec.states)
     _assert_core_is_eager(core, lo, hi, (lo, 0, hi), 0, spec.start, spec.states)
     assert len(logic._PAIRS) == hi - lo
+
+
+def test_chains_fitted_in_threads_slice_true_pairs(monkeypatch):
+    """4 threads, switched every microsecond, each fitting chains of 3..400
+    cells to one fresh pair table: a table once handed out is never
+    changed, so every pair sliced from it is (k, k + 1)."""
+    pairs = [(k, k + 1) for k in range(400)]
+    expected = {
+        cells: {TAPE_A: tuple(pairs[cells % 2 : cells - 1 : 2]), TAPE_B: tuple(pairs[1 - cells % 2 : cells - 1 : 2])}
+        for cells in range(3, 401)
+    }
+    wrong = []
+
+    def fit():
+        for cells in range(3, 401):
+            if logic._tape_blocks(cells, cells % 2) != expected[cells]:
+                wrong.append(cells)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            monkeypatch.setattr(logic, "_PAIRS", [])
+            threads = [threading.Thread(target=fit) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    assert logic._PAIRS == pairs[: len(logic._PAIRS)]
 
 
 @pytest.mark.parametrize("mapped", [False, True])
